@@ -37,7 +37,8 @@ DEFAULTS: dict = {
     "g": 1.0, "kappa": 20.0, "gamma": 1.0, "r_abs": 1.0,
     "delta_phi": 0.0, "omega_c": 0.0, "d0c": 0.0, "phi2_offset": 0.0,
     "fock_cutoff": 4,
-    "t_max": 5.0, "t_points": 1001, "step": 0.0,
+    "t_max": 5.0, "t_points": 1001,
+    "step": 0.0,   # accepted and ignored: propagation is exact, older sidecars carry it
     "omega_span": 5.0, "omega_points": 1001,
     "drive_amplitude": 0.2, "drive_detuning": 0.0, "drive_target": "cavity_R",
     "measure": "cavity_L",
@@ -64,15 +65,18 @@ def _parse_value(text: str):
         return text
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
+def resolve_config(args: argparse.Namespace) -> tuple[dict, tuple | None]:
+    """Config and sweep of a run; an explicit --sweep overrides a sidecar's."""
     cfg = dict(DEFAULTS)
+    sweep = args.sweep
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         if "config" in loaded and isinstance(loaded["config"], dict):
-            loaded = loaded["config"]  # re-run from a sidecar
+            sweep = sweep or loaded.get("sweep")   # re-run from a sidecar
+            loaded = loaded["config"]
         for key, val in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r} in {args.config}")
@@ -103,7 +107,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg["fock_cutoff"] = int(cfg["fock_cutoff"])
     cfg["t_points"] = int(cfg["t_points"])
     cfg["omega_points"] = int(cfg["omega_points"])
-    return cfg
+    return cfg, parse_sweep(sweep) if sweep else None
 
 
 def parse_sweep(text: str) -> tuple[str, float, float, int]:
@@ -127,10 +131,6 @@ def params_from_config(cfg: dict, n_qubits: int = 1) -> ModelParams:
         omega0=cfg["omega_c"] + cfg["d0c"], omega_c=cfg["omega_c"],
         gamma=cfg["gamma"], kappa=cfg["kappa"], g=cfg["g"],
         r_abs=cfg["r_abs"], phi_prop=cfg["delta_phi"], phi_azim=phi_azim)
-
-
-def _step_or_none(cfg: dict) -> float | None:
-    return cfg["step"] if cfg["step"] > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +174,7 @@ def _ldos_summary(cfg: dict) -> dict:
 def _exp_dynamics(cfg: dict):
     p = params_from_config(cfg)
     t = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
-    series = dynamics.amplitude_evolve(p, dynamics.excited_qubit_state(1), t,
-                                       step=_step_or_none(cfg))
+    series = dynamics.amplitude_evolve(p, dynamics.excited_qubit_state(1), t)
     cols = {"t": t, "p_cavity_L": series.cavity_L, "p_cavity_R": series.cavity_R,
             "p_qubit": series.qubit(), "leaked_waveguide": series.leaked_kappa,
             "leaked_free_space": series.leaked_gamma}
@@ -248,9 +247,9 @@ def _exp_eigen(cfg: dict, sweep=None):
 def _exp_concurrence(cfg: dict):
     p = params_from_config(cfg, n_qubits=2)
     t = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
-    c = dynamics.concurrence_series(p, t, step=_step_or_none(cfg))
+    c = dynamics.concurrence_series(p, t)
     series = dynamics.amplitude_evolve(p, dynamics.excited_qubit_state(2), t,
-                                       n_qubits=2, step=_step_or_none(cfg))
+                                       n_qubits=2)
     cols = {"t": t, "concurrence": c,
             "p_qubit_1": series.qubit(0), "p_qubit_2": series.qubit(1),
             "p_cavity_L": series.cavity_L, "p_cavity_R": series.cavity_R}
@@ -260,7 +259,7 @@ def _exp_concurrence(cfg: dict):
 def _concurrence_summary(cfg: dict) -> dict:
     p = params_from_config(cfg, n_qubits=2)
     t = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
-    return {"c_max": dynamics.max_concurrence(p, t, step=_step_or_none(cfg))}
+    return {"c_max": dynamics.max_concurrence(p, t)}
 
 
 def _blockade_drive(cfg: dict, detuning: float) -> DriveSpec:
@@ -309,7 +308,7 @@ def _blockade_chunk(job):
 def _exp_trapping(cfg: dict):
     cfg = {**cfg, "gamma": 0.0}   # trapping is defined for an ideal emitter
     p = params_from_config(cfg)
-    plat = dynamics.trapped_population(p, step=_step_or_none(cfg))
+    plat = dynamics.trapped_population(p)
     cols = {"p_cavity_L": np.array([plat.components[0]]),
             "p_cavity_R": np.array([plat.components[1]]),
             "p_qubit": np.array([plat.components[2]]),
@@ -322,7 +321,7 @@ def _exp_trapping(cfg: dict):
 def _trapping_summary(cfg: dict) -> dict:
     cfg = {**cfg, "gamma": 0.0}
     p = params_from_config(cfg)
-    plat = dynamics.trapped_population(p, step=_step_or_none(cfg))
+    plat = dynamics.trapped_population(p)
     return {"p_qubit": float(plat.components[2]),
             "p_cavity_L": float(plat.components[0]),
             "p_cavity_R": float(plat.components[1]),
@@ -406,10 +405,13 @@ def _jsonable(obj):
 
 
 def write_sidecar(path: Path, experiment: str, cfg: dict, outputs: list[str],
-                  summary: dict):
+                  summary: dict, sweep=None):
     payload = {"tool": "epqed", "version": __version__, "experiment": experiment,
                "config": _jsonable(cfg), "outputs": outputs,
                "summary": _jsonable(summary)}
+    if sweep is not None:
+        name, start, stop, count = sweep
+        payload["sweep"] = f"{name}={float(start)!r}:{float(stop)!r}:{count}"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -458,7 +460,7 @@ def run(experiment: str, cfg: dict, sweep=None, out_dir: Path = Path("."),
         write_csv(path, columns, cfg, experiment)
         outputs.append(path.name)
     sidecar = out_dir / f"{experiment}.json"
-    write_sidecar(sidecar, experiment, cfg, outputs, summary)
+    write_sidecar(sidecar, experiment, cfg, outputs, summary, sweep)
     return summary
 
 
@@ -526,8 +528,7 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             ok = run_reproduce(args.figure, Path(args.out))
             return 0 if ok else 4
-        cfg = resolve_config(args)
-        sweep = parse_sweep(args.sweep) if args.sweep else None
+        cfg, sweep = resolve_config(args)
         summary = run(args.command, cfg, sweep=sweep, out_dir=Path(args.out),
                       workers=max(1, args.workers))
         print(json.dumps(_jsonable(summary), sort_keys=True))

@@ -2,9 +2,9 @@
 
 Everything here lives in the one-excitation sector: the state is the
 amplitude vector p = (<c_L>, <c_R>, <sm_1>, ...), evolved as dp/dt = -i M p
-in the frame rotating at omega_c, with the leaked population split into the
-waveguide channel (kappa) and the free-space channel (gamma) by explicit
-quadrature alongside the amplitudes.
+in the frame rotating at omega_c by the exact propagator, with the leaked
+population split into the waveguide channel (kappa) and the free-space
+channel (gamma) by exact per-step integrals of the loss rates.
 """
 from __future__ import annotations
 
@@ -13,12 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RateUndefinedError
-from .numerics import local_maxima, log_slope, quadratic_extremum, rk4
+from .numerics import (distinct_steps, local_maxima, log_slope, propagate,
+                       quadratic_extremum, van_loan_integral)
 from .params import ModelParams
 from .spectra import coupling_matrix
 
 PLATEAU_WINDOW = 0.1
 PLATEAU_VAR_TOL = 1e-4
+LEAK_CHUNK = 256   # intervals per block of leak quadratic forms (bounds memory)
 
 
 def excited_qubit_state(n_qubits: int, index: int = 0) -> np.ndarray:
@@ -61,7 +63,7 @@ class PopulationSeries:
 def amplitude_evolve(params: ModelParams, p0: np.ndarray, t_grid,
                      n_qubits: int | None = None,
                      step: float | None = None) -> PopulationSeries:
-    """RK4-integrate dp/dt = -i M p (rotating frame at omega_c)."""
+    """Propagate dp/dt = -i M p exactly (rotating frame at omega_c); step is ignored."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly ascending")
@@ -69,31 +71,28 @@ def amplitude_evolve(params: ModelParams, p0: np.ndarray, t_grid,
     n = n_qubits if n_qubits is not None else p0.size - 2
     if p0.size != n + 2:
         raise ValueError(f"amplitude vector has {p0.size} entries, expected {n + 2}")
-    m_rot = coupling_matrix(params, n) - params.omega_c * np.eye(n + 2)
-    a = -1j * m_rot
-    kappa, gamma = params.kappa, params.gamma
-    # waveguide output of the cascade: the two emission paths interfere at
-    # the mirror port, adding 2 kappa |r| Re[e^{i phi} p_L p_R*] to the
-    # bare kappa (n_L + n_R) loss (this is what -i(M - M^dag) integrates to)
-    chiral = kappa * params.r_abs * np.exp(1j * params.phi_prop)
-    if step is None:
-        scales = [params.g, kappa, gamma, 1.0,
-                  max(abs(w - params.omega_c) for w in params.omega0_list(n))]
-        step = 0.005 / max(scales)
+    m = coupling_matrix(params, n)
+    a = -1j * (m - params.omega_c * np.eye(n + 2))
+    steps, index = distinct_steps(t_grid)
+    amps = propagate(a, p0, t_grid)
 
-    def f(_t, y):
-        dy = np.empty_like(y)
-        dy[:-2] = a @ y[:-2]
-        dy[-2] = (kappa * (abs(y[0]) ** 2 + abs(y[1]) ** 2)
-                  + 2.0 * np.real(chiral * y[0] * np.conj(y[1])))
-        dy[-1] = gamma * np.sum(np.abs(y[2:-2]) ** 2)
-        return dy
-
-    y0 = np.concatenate([p0, [0.0, 0.0]])
-    out = rk4(f, y0, t_grid, step)
-    return PopulationSeries(times=t_grid, amplitudes=out[:, :-2],
-                            leaked_kappa=out[:, -2].real,
-                            leaked_gamma=out[:, -1].real)
+    # total loss rate p^dag i(M - M^dag) p: the qubit diagonals are the
+    # free-space channel; the rest is the waveguide output of the cascade,
+    # kappa (n_L + n_R) plus the interference of the two emission paths at
+    # the mirror port, 2 kappa |r| Re[e^{i phi} p_L p_R*]
+    k_total = 1j * (m - m.conj().T)
+    k_gamma = np.zeros_like(k_total)
+    k_gamma[2:, 2:] = np.diag(np.diag(k_total)[2:])
+    qs = np.array([[van_loan_integral(a, k, dt) for dt in steps]
+                   for k in (k_total - k_gamma, k_gamma)])
+    leaked = np.zeros((2, len(t_grid)))   # per-interval increments, summed below
+    for c in range(0, len(index), LEAK_CHUNK):
+        p = amps[c:min(c + LEAK_CHUNK, len(index))]   # each interval's start
+        leaked[:, c + 1:c + 1 + len(p)] = np.einsum(
+            "ki,ckij,kj->ck", p.conj(), qs[:, index[c:c + LEAK_CHUNK]], p).real
+    np.cumsum(leaked, axis=1, out=leaked)
+    return PopulationSeries(times=t_grid, amplitudes=amps,
+                            leaked_kappa=leaked[0], leaked_gamma=leaked[1])
 
 
 def steady_populations_analytic(g: float, kappa: float) -> tuple[float, float, float]:
@@ -132,6 +131,7 @@ def trapped_population(params: ModelParams, t_final: float | None = None,
 
     Evolves to t_final = 50/min(g, kappa) and averages the last 10% of the
     window; a window variance above 1e-4 marks the plateau as not trapped.
+    step is ignored.
     """
     if params.gamma != 0:
         raise ValueError("population trapping requires gamma = 0")
@@ -139,7 +139,7 @@ def trapped_population(params: ModelParams, t_final: float | None = None,
         t_final = 50.0 / min(params.g, params.kappa)
     t_grid = np.linspace(0.0, t_final, n_samples)
     series = amplitude_evolve(params, excited_qubit_state(n_qubits), t_grid,
-                              n_qubits=n_qubits, step=step)
+                              n_qubits=n_qubits)
     i0 = int(np.floor((1.0 - PLATEAU_WINDOW) * n_samples))
     window = series.populations[i0:]
     variance = float(window.var(axis=0).max())
@@ -157,33 +157,33 @@ def concurrence_series(params: ModelParams, t_grid,
     """C(t) = 2 |C_eg(t) C_ge*(t)| for qubit 1 initially excited.
 
     The parameters must describe two qubits (scalar omega0/phi_azim are
-    broadcast; distinct azimuthal phases are honored).
+    broadcast; distinct azimuthal phases are honored).  step is ignored.
     """
     if params.n_qubits > 2:
         raise ValueError("concurrence is implemented for exactly two qubits")
     series = amplitude_evolve(params, excited_qubit_state(2), t_grid,
-                              n_qubits=2, step=step)
+                              n_qubits=2)
     c_eg = series.amplitudes[:, 2]
     c_ge = series.amplitudes[:, 3]
     return 2.0 * np.abs(c_eg) * np.abs(np.conj(c_ge))
 
 
 def max_concurrence(params: ModelParams, t_grid, step: float | None = None) -> float:
-    """max_t C(t), refined by quadratic interpolation around the discrete peak."""
+    """max_t C(t), refined by quadratic interpolation at the discrete peak; step is ignored."""
     t_grid = np.asarray(t_grid, dtype=float)
-    c = concurrence_series(params, t_grid, step=step)
+    c = concurrence_series(params, t_grid)
     i = int(np.argmax(c))
     return quadratic_extremum(t_grid, c, i)[1]
 
 
 def concurrence_phase_scan(params: ModelParams, t_grid, relative_phases,
                            step: float | None = None) -> np.ndarray:
-    """max_t C(t) as the second qubit's azimuthal phase offset is varied."""
+    """max_t C(t) as the second qubit's azimuthal phase offset is varied; step is ignored."""
     phi1 = params.phi_azim_list(2)[0]
     out = []
     for dphi2 in relative_phases:
         p = params.replace(phi_azim=(phi1, phi1 + float(dphi2)))
-        out.append(max_concurrence(p, t_grid, step=step))
+        out.append(max_concurrence(p, t_grid))
     return np.array(out)
 
 

@@ -26,11 +26,7 @@ class BuildError(EpqedError, ValueError):
 
 
 class AccuracyError(EpqedError, RuntimeError):
-    """Fixed-step integration accuracy check failed."""
-
-    def __init__(self, message: str, suggested_step: float | None = None):
-        super().__init__(message)
-        self.suggested_step = suggested_step
+    """A result failed its accuracy check (trace drift, steady-state residual)."""
 
 
 class DegenerateSteadyStateError(EpqedError, RuntimeError):

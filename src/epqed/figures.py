@@ -103,10 +103,10 @@ def fig4() -> FigureResult:
     lv = master.build_liouvillian(p10, layout)
     t_cmp = np.linspace(0.0, 1.5, 61)
     rho0 = master.DensityMatrix.from_ket(product_ket(layout, (1,), 0, 0))
-    run = master.evolve(lv, rho0, t_cmp, step=5e-5)
+    run = master.evolve(lv, rho0, t_cmp)
     sm = qubit_lowering(layout, 0)
     c_l, c_r = cavity_ops(layout)
-    amp = dynamics.amplitude_evolve(p10, dynamics.excited_qubit_state(1), t_cmp, step=5e-5)
+    amp = dynamics.amplitude_evolve(p10, dynamics.excited_qubit_state(1), t_cmp)
     devs = [np.abs(run.expect(op.conj().T @ op).real - ref).max()
             for op, ref in ((sm, amp.qubit()), (c_l, amp.cavity_L), (c_r, amp.cavity_R))]
     eq_dev = float(max(devs))

@@ -23,6 +23,7 @@ import numpy as np
 from . import hilbert
 from .errors import AccuracyError, BuildError, DegenerateSteadyStateError
 from .hilbert import SpaceLayout
+from .numerics import propagate
 from .params import DriveSpec, ModelParams
 
 TRACE_TOL = 1e-10
@@ -114,31 +115,17 @@ def _clean(raw: np.ndarray) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Built superoperator with its provenance and a recommended RK4 step."""
+    """Built superoperator with its provenance."""
 
     matrix: np.ndarray
     layout: SpaceLayout
     params: ModelParams
     drive: DriveSpec | None
     frame: float
-    step: float
 
     @property
     def dim(self) -> int:
         return self.layout.dim
-
-
-def default_step(params: ModelParams, drive: DriveSpec | None = None,
-                 frame: float | None = None) -> float:
-    """Fixed RK4 step 0.005 / (largest rate or detuning in the generator)."""
-    if frame is None:
-        frame = drive.omega_drive if drive is not None else params.omega_c
-    scales = [params.g, params.kappa, params.gamma, 1.0,
-              abs(params.omega_c - frame)]
-    scales += [abs(w0 - frame) for w0 in params.omega0_list()]
-    if drive is not None:
-        scales.append(drive.amplitude)
-    return 0.005 / max(scales)
 
 
 def build_liouvillian(params: ModelParams, layout: SpaceLayout,
@@ -188,49 +175,20 @@ def build_liouvillian(params: ModelParams, layout: SpaceLayout,
         lmat += k_r * np.conj(ph) * (spre(c_r) @ spost(c_l.conj().T) - spost(c_l.conj().T @ c_r))
 
     return Liouvillian(matrix=lmat, layout=layout, params=params, drive=drive,
-                       frame=frame, step=default_step(params, drive, frame))
+                       frame=frame)
 
 
-def _as_matrix_and_step(lv, step: float | None, t_grid) -> tuple[np.ndarray, float]:
-    if isinstance(lv, Liouvillian):
-        return lv.matrix, (step if step is not None else lv.step)
-    m = np.asarray(lv, dtype=complex)
-    if step is None:
-        dt = np.diff(np.asarray(t_grid, dtype=float))
-        fallback = 0.05 / max(1.0, np.abs(m).max())
-        step = min(fallback, dt.min()) if len(dt) else fallback
-    return m, step
+def _generator(lv) -> np.ndarray:
+    return lv.matrix if isinstance(lv, Liouvillian) else np.asarray(lv, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
 # time evolution
 # ---------------------------------------------------------------------------
 
-def _rk4_samples(lmat: np.ndarray, x0: np.ndarray, t_grid: np.ndarray,
-                 step: float) -> np.ndarray:
-    """Integrate dx/dt = L x with fixed substeps, sampling at t_grid."""
-    out = np.empty((len(t_grid), x0.size), dtype=complex)
-    x = x0.astype(complex).copy()
-    t = t_grid[0]
-    out[0] = x
-    for k in range(1, len(t_grid)):
-        span = t_grid[k] - t
-        nsub = max(1, int(np.ceil(span / step - 1e-12)))
-        h = span / nsub
-        for _ in range(nsub):
-            k1 = lmat @ x
-            k2 = lmat @ (x + 0.5 * h * k1)
-            k3 = lmat @ (x + 0.5 * h * k2)
-            k4 = lmat @ (x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t_grid[k]
-        out[k] = x
-    return out
-
-
 @dataclass
 class EvolutionResult:
-    """Sequence of states plus raw-integration drift diagnostics."""
+    """Sequence of states plus drift diagnostics of the raw propagation."""
 
     times: np.ndarray
     states: list[DensityMatrix]
@@ -251,14 +209,13 @@ class EvolutionResult:
 
 
 def evolve(lv, rho0, t_grid, step: float | None = None) -> EvolutionResult:
-    """RK4-integrate vec(drho/dt) = L vec(rho) over an ascending time grid."""
+    """Propagate vec(drho/dt) = L vec(rho) exactly over an ascending grid; step is ignored."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be ascending and start at t >= 0")
-    lmat, step = _as_matrix_and_step(lv, step, t_grid)
     rho0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
-    raw = _rk4_samples(lmat, vectorize(rho0), t_grid, step)
+    raw = propagate(_generator(lv), vectorize(rho0), t_grid)
 
     mats = raw.reshape(len(t_grid), dim, dim).transpose(0, 2, 1)  # order="F" unvec
     traces = np.einsum("kii->k", mats).real
@@ -266,7 +223,7 @@ def evolve(lv, rho0, t_grid, step: float | None = None) -> EvolutionResult:
     if drift > TRACE_DRIFT_LIMIT:
         raise AccuracyError(
             f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:g}; "
-            f"retry with step {step / 2:g}", suggested_step=step / 2)
+            "the generator does not preserve the trace")
     herm = max(np.abs(m - m.conj().T).max() for m in mats)
     states = [_clean(m) for m in mats]
     return EvolutionResult(times=t_grid, states=states, max_trace_drift=float(drift),
@@ -284,7 +241,7 @@ def steady_state(lv, kernel_tol: float = 1e-8) -> DensityMatrix:
     one-dimensional within kernel_tol (relative singular-value threshold),
     e.g. for gamma = 0 undriven configurations supporting bound states.
     """
-    lmat = lv.matrix if isinstance(lv, Liouvillian) else np.asarray(lv, dtype=complex)
+    lmat = _generator(lv)
     n2 = lmat.shape[0]
     dim = int(round(np.sqrt(n2)))
     a = lmat.copy()
@@ -318,13 +275,11 @@ def steady_state(lv, kernel_tol: float = 1e-8) -> DensityMatrix:
 
 def two_time_correlation(lv, rho, a_op: np.ndarray, b_op: np.ndarray,
                          tau_grid, step: float | None = None) -> np.ndarray:
-    """<A(0) B(tau)> = Tr{ B exp(L tau)[rho A] } on the given tau grid."""
+    """<A(0) B(tau)> = Tr{ B exp(L tau)[rho A] } on the given tau grid; step is ignored."""
     tau_grid = np.asarray(tau_grid, dtype=float)
-    lmat, step = _as_matrix_and_step(lv, step, tau_grid)
     rho = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
-    x0 = vectorize(rho @ a_op)
-    raw = _rk4_samples(lmat, x0, tau_grid, step)
+    raw = propagate(_generator(lv), vectorize(rho @ a_op), tau_grid)
     xs = raw.reshape(len(tau_grid), dim, dim).transpose(0, 2, 1)
     return np.einsum("ij,kji->k", np.asarray(b_op, dtype=complex), xs)
 
@@ -341,7 +296,7 @@ def convergence_check(params: ModelParams, layout: SpaceLayout, observable,
 
     observable and initial_state are callables of the layout (the operator
     and state must be rebuilt for each cutoff); initial_state defaults to
-    the vacuum.  Returns (converged, max absolute deviation).
+    the vacuum; step is ignored.  Returns (converged, max absolute deviation).
     """
     if initial_state is None:
         initial_state = vacuum_state
@@ -349,7 +304,7 @@ def convergence_check(params: ModelParams, layout: SpaceLayout, observable,
     for cutoff in (layout.fock_cutoff, layout.fock_cutoff + 1):
         lay = SpaceLayout(layout.n_qubits, cutoff)
         lv = build_liouvillian(params, lay, drive=drive)
-        result = evolve(lv, initial_state(lay), t_grid, step=step)
+        result = evolve(lv, initial_state(lay), t_grid)
         series.append(result.expect(observable(lay)).real)
     deviation = float(np.abs(series[0] - series[1]).max())
     return deviation <= tol, deviation

@@ -1,33 +1,72 @@
-"""Small numerical helpers shared across modules."""
+"""Numerical helpers shared across modules: the exact propagator of the
+linear, time-independent generators and small curve utilities."""
 from __future__ import annotations
 
 import numpy as np
 
 
-def rk4(f, y0: np.ndarray, t_grid: np.ndarray, step: float) -> np.ndarray:
-    """Classical fixed-step RK4 for dy/dt = f(t, y), sampled at t_grid.
+DENSE_EXPM_MAX_DIM = 256   # above this, propagate with expm_multiply on a sparse copy
 
-    Each sampling interval is cut into equal substeps no longer than step.
+
+def distinct_steps(t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct spacings of an ascending grid and each interval's index into them.
+
+    Spacings equal to within the rounding of the grid's times count as one,
+    represented by their mean, so a linspace grid has a single spacing.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    y = np.asarray(y0, dtype=complex).copy()
-    out = np.empty((len(t_grid),) + y.shape, dtype=complex)
-    out[0] = y
-    t = t_grid[0]
-    for k in range(1, len(t_grid)):
-        span = t_grid[k] - t
-        nsub = max(1, int(np.ceil(span / step - 1e-12)))
-        h = span / nsub
-        for _ in range(nsub):
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = f(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        t = t_grid[k]
-        out[k] = y
+    dts = np.diff(t_grid)
+    resolution = 16.0 * np.finfo(float).eps * np.abs(t_grid).max()
+    _, index = np.unique(np.round(dts / resolution), return_inverse=True)
+    return np.bincount(index, weights=dts) / np.bincount(index), index
+
+
+def propagate(a, x0, t_grid) -> np.ndarray:
+    """Samples x(t_k) = exp(a (t_k - t_0)) x0 of dx/dt = a x, shape (len(t_grid), n).
+
+    Exact for any constant a, defective ones included: up to
+    DENSE_EXPM_MAX_DIM, one scaling-and-squaring exponential per distinct
+    spacing and a matrix-vector product per sample; above it, Al-Mohy and
+    Higham's expm_multiply per interval on a sparse copy of a.
+    """
+    import scipy.linalg   # imported on use, to keep `import epqed` light
+
+    a = np.asarray(a, dtype=complex)
+    steps, index = distinct_steps(t_grid)
+    out = np.empty((len(index) + 1, a.shape[0]), dtype=complex)
+    out[0] = x0
+    if a.shape[0] <= DENSE_EXPM_MAX_DIM:
+        step_maps = [scipy.linalg.expm(a * dt) for dt in steps]
+        for k, i in enumerate(index):
+            out[k + 1] = step_maps[i] @ out[k]
+    else:
+        import scipy.sparse.linalg
+
+        sparse_a = scipy.sparse.csr_matrix(a)
+        for k, i in enumerate(index):
+            out[k + 1] = scipy.sparse.linalg.expm_multiply(sparse_a * steps[i], out[k])
     return out
+
+
+def van_loan_integral(a, k, dt: float) -> np.ndarray:
+    """Q = int_0^dt exp(a^dag s) k exp(a s) ds: p^dag Q p integrates p^dag k p over a step.
+
+    exp([[-a^dag, k], [0, a]] h) = [[F1, G], [0, F2]] gives Q(h) = F2^dag G
+    (Van Loan, IEEE TAC 23, 395 (1978)).  F1 grows where a decays, so h =
+    dt/2^s with |a h| <= 1/2, doubled s times: Q <- Q + F2^dag Q F2, F2 <- F2^2.
+    """
+    import scipy.linalg
+
+    n = a.shape[0]
+    scale = np.abs(a).sum(axis=0).max() * dt
+    doublings = int(np.ceil(np.log2(scale / 0.5))) if scale > 0.5 else 0
+    block = np.block([[-a.conj().T, k], [np.zeros_like(a), a]])
+    e = scipy.linalg.expm(block * (dt / 2**doublings))
+    f, q = e[n:, n:], e[n:, n:].conj().T @ e[:n, n:]
+    for _ in range(doublings):
+        q = q + f.conj().T @ q @ f
+        f = f @ f
+    return q
 
 
 def quadratic_extremum(x: np.ndarray, y: np.ndarray, index: int) -> tuple[float, float]:

@@ -50,6 +50,20 @@ def test_rerun_from_sidecar_reproduces_file(tmp_path):
     assert (first / "dynamics.csv").read_bytes() == (again / "dynamics.csv").read_bytes()
 
 
+def test_rerun_from_sweep_sidecar_repeats_the_sweep(tmp_path):
+    first, again, narrowed = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert main(["eigen", "--sweep", "delta_phi=0:3.1:181", "--g", "20",
+                 "--kappa", "20", "--gamma", "0", "--out", str(first)]) == 0
+    sidecar = first / "eigen.json"
+    assert json.loads(sidecar.read_text())["sweep"] == "delta_phi=0.0:3.1:181"
+    assert main(["eigen", "--config", str(sidecar), "--out", str(again)]) == 0
+    assert (first / "eigen.csv").read_bytes() == (again / "eigen.csv").read_bytes()
+    # an explicit --sweep overrides the sidecar's
+    assert main(["eigen", "--config", str(sidecar), "--sweep", "delta_phi=0:1:5",
+                 "--out", str(narrowed)]) == 0
+    assert read_csv(narrowed / "eigen.csv")[1].shape[0] == 5
+
+
 def test_fit_subcommand_roundtrip(tmp_path, capsys):
     wc0, k0, g0 = 0.78122, 152.8e-6, 24.9e-6
     w = np.linspace(wc0 - 5.1 * k0, wc0 + 4.7 * k0, 301)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from epqed.errors import AccuracyError, BuildError, DegenerateSteadyStateError
@@ -144,13 +145,27 @@ def test_build_rejects_mismatched_layout():
         build_liouvillian(p, SpaceLayout(2, 2))
 
 
-def test_trace_drift_raises_accuracy_error():
+def test_evolution_matches_matrix_exponential():
+    # coarse samples of a fast decay: exact, and the ignored step changes nothing
     p = ModelParams(g=0.0, kappa=50.0, gamma=0.0, r_abs=0.0)
     lay = SpaceLayout(0, 2)
     lv = build_liouvillian(p, lay)
-    with pytest.raises(AccuracyError) as err:
-        evolve(lv, _single_photon_L(lay), np.linspace(0, 2, 3), step=0.1)
-    assert err.value.suggested_step == pytest.approx(0.05)
+    rho0 = _single_photon_L(lay)
+    t = np.linspace(0, 2, 3)
+    res = evolve(lv, rho0, t, step=0.1)
+    for tk, state in zip(t, res):
+        ref = unvectorize(scipy.linalg.expm(lv.matrix * tk) @ vectorize(rho0.entries), lay.dim)
+        assert_allclose(state.entries, ref, atol=1e-12)
+    assert all(np.array_equal(a.entries, b.entries)
+               for a, b in zip(res, evolve(lv, rho0, t)))
+
+
+def test_trace_drift_raises_accuracy_error():
+    p = ModelParams(g=0.0, kappa=50.0, gamma=0.0, r_abs=0.0)
+    lay = SpaceLayout(0, 2)
+    gain = build_liouvillian(p, lay).matrix + 0.1 * np.eye(lay.dim**2)
+    with pytest.raises(AccuracyError, match="trace drift"):
+        evolve(gain, _single_photon_L(lay), np.linspace(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,97 @@
+import numpy as np
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from epqed.dynamics import amplitude_evolve, excited_qubit_state
+from epqed.hilbert import SpaceLayout
+from epqed.master import build_liouvillian, vacuum_state, vectorize
+from epqed.numerics import DENSE_EXPM_MAX_DIM, distinct_steps, propagate
+from epqed.params import DriveSpec, ModelParams
+from epqed.spectra import coupling_matrix
+
+
+def expm_oracle(a, x0, t_grid):
+    return np.array([scipy.linalg.expm(a * (t - t_grid[0])) @ x0 for t in t_grid])
+
+
+grids = st.one_of(
+    st.builds(lambda t1, n: np.linspace(0.0, t1, n),
+              st.floats(0.1, 3.0), st.integers(2, 60)),
+    st.lists(st.floats(0.0, 3.0), min_size=2, max_size=40, unique=True)
+    .map(lambda ts: np.sort(np.array(ts)))
+    .filter(lambda t: np.diff(t).min() > 1e-6),
+)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), t_grid=grids)
+@settings(max_examples=60, deadline=None)
+def test_propagate_matches_expm_on_random_generators(seed, dim, t_grid):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a -= (np.abs(np.linalg.eigvals(a).real).max() + 0.1) * np.eye(dim)   # decaying
+    x0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    assert_allclose(propagate(a, x0, t_grid), expm_oracle(a, x0, t_grid),
+                    rtol=1e-10, atol=1e-10)
+
+
+@given(kappa=st.floats(0.5, 50.0), phi=st.floats(-np.pi, np.pi), t_grid=grids)
+@settings(max_examples=40, deadline=None)
+def test_propagate_is_exact_at_the_chiral_ep(kappa, phi, t_grid):
+    # g = 0, |r| = 1: the cavity block of M is a 2x2 Jordan block
+    m = coupling_matrix(ModelParams(g=0.0, kappa=kappa, gamma=1.0, phi_prop=phi), 1)
+    nilpotent = m[:2, :2] - m[0, 0] * np.eye(2)
+    assert np.abs(nilpotent).max() > 0 and np.abs(nilpotent @ nilpotent).max() == 0
+    a = -1j * m
+    x0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    out = propagate(a, x0, t_grid)
+    assert_allclose(out, expm_oracle(a, x0, t_grid), rtol=1e-10, atol=1e-10)
+    # square-Lorentzian precursor: the fed mode grows as kappa t e^{-kappa t/2}
+    tau = t_grid - t_grid[0]
+    assert_allclose(np.abs(out[:, 1]), kappa * tau * np.exp(-kappa * tau / 2), atol=1e-10)
+
+
+def test_propagate_large_generator_uses_sparse_branch():
+    p = ModelParams.from_delta_phi(0.6, g=5.0, kappa=20.0, gamma=1.0)
+    lay = SpaceLayout(1, 3)
+    lv = build_liouvillian(p, lay, drive=DriveSpec(omega_drive=0.5, amplitude=0.8))
+    assert lv.matrix.shape[0] > DENSE_EXPM_MAX_DIM
+    x0 = vectorize(vacuum_state(lay).entries)
+    for t_grid in (np.linspace(0.0, 0.3, 4), np.array([0.05, 0.06, 0.2, 0.25])):
+        assert_allclose(propagate(lv.matrix, x0, t_grid),
+                        expm_oracle(lv.matrix, x0, t_grid), rtol=1e-10, atol=1e-10)
+
+
+def test_linspace_grid_has_one_step():
+    for n in (2, 1001, 20001):
+        steps, index = distinct_steps(np.linspace(0.0, 0.5, n))
+        assert len(steps) <= 2 and len(index) == n - 1
+        assert_allclose(steps, 0.5 / (n - 1), rtol=1e-12)
+    steps, index = distinct_steps(np.array([0.0, 0.1, 0.2, 0.5, 0.8]))
+    assert_allclose(steps[index], [0.1, 0.1, 0.3, 0.3], rtol=1e-12)
+
+
+@given(g=st.floats(0.1, 100.0), kappa=st.floats(0.1, 100.0), gamma=st.floats(0.0, 10.0),
+       r_abs=st.floats(0.0, 1.0), phi=st.floats(-np.pi, np.pi),
+       n_qubits=st.sampled_from([1, 2]), t_grid=grids)
+@settings(max_examples=60, deadline=None)
+def test_populations_and_leaks_sum_to_one(g, kappa, gamma, r_abs, phi, n_qubits, t_grid):
+    p = ModelParams(g=g, kappa=kappa, gamma=gamma, r_abs=r_abs, phi_prop=phi,
+                    phi_azim=(0.0, 0.3)[:n_qubits])
+    series = amplitude_evolve(p, excited_qubit_state(n_qubits), t_grid, n_qubits=n_qubits)
+    assert np.abs(series.total - 1.0).max() <= 1e-12
+
+
+def test_leak_channels_match_quadrature():
+    p = ModelParams(g=8.0, kappa=12.0, gamma=2.0, r_abs=0.9, phi_prop=2.1, phi_azim=(0.0, 0.7))
+    fine = np.linspace(0.0, 1.0, 20001)
+    amps = amplitude_evolve(p, excited_qubit_state(2), fine, n_qubits=2).amplitudes
+    chiral = p.kappa * p.r_abs * np.exp(1j * p.phi_prop)
+    rate_kappa = (p.kappa * (np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2)
+                  + 2.0 * np.real(chiral * amps[:, 0] * np.conj(amps[:, 1])))
+    rate_gamma = p.gamma * (np.abs(amps[:, 2:]) ** 2).sum(axis=1)
+    coarse = amplitude_evolve(p, excited_qubit_state(2), fine[::2000], n_qubits=2)
+    for leaked, rate in ((coarse.leaked_kappa, rate_kappa), (coarse.leaked_gamma, rate_gamma)):
+        quad = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(fine))])
+        assert_allclose(leaked, quad[::2000], atol=1e-6)
