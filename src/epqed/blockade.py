@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import master
-from .errors import StatisticsUndefinedError
+from .errors import EpqedError, StatisticsUndefinedError
 from .hilbert import SpaceLayout, cavity_ops, qubit_lowering
 from .params import DriveSpec, ModelParams
 
@@ -83,7 +83,8 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
 
     The generator is affine in the drive frequency (the frame rotation
     shifts every excitation-number term), so the sweep reuses one build.
-    Per-point failures are collected and the sweep continues.
+    A point that raises EpqedError or ValueError is recorded in `errors` with
+    NaN results and the sweep continues; any other exception propagates.
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     _check_preconditions(params, drive, layout)
@@ -107,7 +108,7 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
         try:
             rho = master.steady_state(lmat)
             results.append(_statistics(rho, c_m, det))
-        except Exception as exc:  # collect, keep sweeping
+        except (EpqedError, ValueError) as exc:  # collect, keep sweeping
             errors.append((float(det), f"{type(exc).__name__}: {exc}"))
             results.append(BlockadeResult(detuning=float(det), g2=np.nan, n_L=np.nan))
 

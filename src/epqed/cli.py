@@ -1,14 +1,31 @@
 """Command-line front end.
 
     epqed <experiment> [--config FILE] [--set key=value ...]
-          [--sweep name=start:stop:count] [--out DIR] [--workers N] [flags]
+          [--sweep name=start:stop:count] [--out DIR] [flags]
 
 Experiments: ldos, fit, dynamics, spectrum, eigen, concurrence, blockade,
 trapping, plus `reproduce <figure-id>` for the pinned pipelines.  Outputs are
 CSV files (comma-delimited, one header row naming columns and units, a
 leading comment line embedding the resolved config) plus a JSON sidecar with
-the full config, library version and summary values.  Exit codes: 0 success,
-2 config error, 3 numerical failure, 4 reproduction check failure.
+the full config, library version and summary values.
+
+Each experiment is one function cfg -> (tables, summary) in EXPERIMENTS.  A
+sweep runs serially and writes one CSV row per grid value: the experiment's
+summary at that value, except that a blockade sweep over `detuning` makes
+one `blockade.g2_sweep` call (one Liouvillian build, affine in the drive
+frequency) and an eigen sweep one `spectra.eigenmode_sweep` call (labels
+follow continuity along the grid).  A point that raises EpqedError or
+ValueError gives a NaN row and an entry [value, "TypeName: message"] in the
+sidecar's `errors` list, and stderr gets one line with the failure count.
+`--workers` is accepted and ignored: on a 2-core machine a process pool was
+slower than the serial loop on every sweep measured (a 25-point blockade
+sweep 2.8-3.0 s serial against 4.1-4.3 s at 2 workers; 401-point trapping
+2.7-3.1 s against 5.3-5.8 s; 401-point concurrence 2.1-2.2 s against
+4.7-5.6 s).
+
+Exit codes: 0 success (for a sweep: at least one point succeeded), 2 config
+error (a rejected parameter included), 3 numerical failure (for a sweep:
+every point failed), 4 reproduction check failure.
 
 Rates are in units of gamma0 = 1; when `gamma0_ev` is set, rate and
 frequency inputs are read as eV (divided by gamma0_ev on input) and
@@ -18,9 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +43,8 @@ import numpy as np
 from . import __version__, blockade, dynamics, figures, ldos, spectra
 from .errors import ConfigError, EpqedError
 from .hilbert import SpaceLayout
+from .numerics import quadratic_extremum
 from .params import DriveSpec, ModelParams
-
-EXPERIMENTS = ("ldos", "fit", "dynamics", "spectrum", "eigen", "concurrence",
-               "blockade", "trapping")
 
 DEFAULTS: dict = {
     "g": 1.0, "kappa": 20.0, "gamma": 1.0, "r_abs": 1.0,
@@ -52,6 +65,8 @@ _EV_KEYS = ("g", "kappa", "gamma", "omega_c", "d0c", "drive_amplitude",
             "drive_detuning", "detuning")
 _FREQ_COLS = ("omega", "detuning", "delta_0c", "delta_omega", "J", "J_dp",
               "J_ep", "gamma_m", "splitting", "peak_omega")
+# per-experiment defaults over DEFAULTS: spectrum peaks need a finer grid
+_EXPERIMENT_DEFAULTS = {"spectrum": {"omega_points": 4001}}
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +82,7 @@ def _parse_value(text: str):
 
 def resolve_config(args: argparse.Namespace) -> tuple[dict, tuple | None]:
     """Config and sweep of a run; an explicit --sweep overrides a sidecar's."""
-    cfg = dict(DEFAULTS)
+    cfg = {**DEFAULTS, **_EXPERIMENT_DEFAULTS.get(args.command, {})}
     sweep = args.sweep
     if args.config:
         try:
@@ -134,7 +149,7 @@ def params_from_config(cfg: dict, n_qubits: int = 1) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# experiment pipelines: full tables and one-line sweep summaries
+# experiments: cfg -> (tables, summary); a sweep row is the summary
 # ---------------------------------------------------------------------------
 
 def _exp_ldos(cfg: dict):
@@ -156,19 +171,13 @@ def _exp_ldos(cfg: dict):
         cols["J_ep"] = j_ep
         if p.gamma > 0:
             cols["purcell"] = ldos.purcell_factor(w, p)
-    summary = _ldos_summary(cfg)
-    return {"ldos": cols}, summary
-
-
-def _ldos_summary(cfg: dict) -> dict:
-    p = params_from_config(cfg)
-    out = {"J_omega_c": float(ldos.spectral_density(p.omega_c, p)),
-           "eta": ldos.enhancement_eta(p.delta_phi, p.r_abs, p)}
+    summary = {"J_omega_c": float(ldos.spectral_density(p.omega_c, p)),
+               "eta": ldos.enhancement_eta(p.delta_phi, p.r_abs, p)}
     try:
-        out["delta_omega_m"] = ldos.transparency_detuning(p.delta_phi, p.kappa)
+        summary["delta_omega_m"] = ldos.transparency_detuning(p.delta_phi, p.kappa)
     except EpqedError:
-        out["delta_omega_m"] = np.nan
-    return out
+        summary["delta_omega_m"] = np.nan
+    return {"ldos": cols}, summary
 
 
 def _exp_dynamics(cfg: dict):
@@ -183,83 +192,44 @@ def _exp_dynamics(cfg: dict):
     return {"dynamics": cols}, summary
 
 
-def _dynamics_summary(cfg: dict) -> dict:
-    _, summary = _exp_dynamics(cfg)
-    return summary
-
-
 def _exp_spectrum(cfg: dict):
     p = params_from_config(cfg)
     omega0 = p.omega0_list()[0]
     span = max(4.0 * p.g, 4.0 * p.kappa)
-    n = cfg["omega_points"] if cfg["omega_points"] != DEFAULTS["omega_points"] else 4001
-    w = np.linspace(omega0 - span, omega0 + span, n)
+    w = np.linspace(omega0 - span, omega0 + span, cfg["omega_points"])
     series = spectra.se_spectrum(w, p)
     cols = {"omega": w, "S": series.value,
             "lamb_shift": spectra.lamb_shift(w, p),
             "local_coupling": spectra.local_coupling(w, p)}
-    return {"spectrum": cols}, _spectrum_summary_from(series)
-
-
-def _spectrum_summary_from(series) -> dict:
     peaks = spectra.spectrum_peaks(series, n_peaks=2)
-    out = {"peak_omega": peaks[0][0] if peaks else np.nan,
-           "peak_height": peaks[0][1] if peaks else np.nan}
-    out["splitting"] = abs(peaks[0][0] - peaks[1][0]) if len(peaks) > 1 else 0.0
-    return out
+    summary = {"peak_omega": peaks[0][0] if peaks else np.nan,
+               "peak_height": peaks[0][1] if peaks else np.nan,
+               "splitting": abs(peaks[0][0] - peaks[1][0]) if len(peaks) > 1 else 0.0}
+    return {"spectrum": cols}, summary
 
 
-def _spectrum_summary(cfg: dict) -> dict:
-    p = params_from_config(cfg)
-    omega0 = p.omega0_list()[0]
-    span = max(4.0 * p.g, 4.0 * p.kappa)
-    w = np.linspace(omega0 - span, omega0 + span, 4001)
-    return _spectrum_summary_from(spectra.se_spectrum(w, p))
-
-
-def _exp_eigen(cfg: dict, sweep=None):
-    p = params_from_config(cfg)
-    if sweep is None:
-        modes = spectra.eigenmodes(spectra.coupling_matrix(p))
-        cols = {"label": np.array([m.label for m in modes], dtype=float),
-                "re": np.array([m.value.real for m in modes]),
-                "im": np.array([m.value.imag for m in modes]),
-                "hopfield_cavity_L": np.array([m.hopfield[0] for m in modes]),
-                "hopfield_cavity_R": np.array([m.hopfield[1] for m in modes]),
-                "hopfield_qubit": np.array([m.qubit_weight for m in modes]),
-                "degenerate": np.array([float(m.degenerate) for m in modes])}
-        summary = {"min_decay": float(min(-m.value.imag for m in modes))}
-        return {"eigen": cols}, summary
-    name, values = sweep
-    mats = (spectra.coupling_matrix(params_from_config({**cfg, name: float(v)}))
-            for v in values)
-    sweep_modes = spectra.eigenmode_sweep(mats)
-    nmodes = len(sweep_modes[0])
-    cols = {name: values}
-    for lab in range(nmodes):
-        series = [next(m for m in modes if m.label == lab) for modes in sweep_modes]
-        cols[f"re_{lab}"] = np.array([m.value.real for m in series])
-        cols[f"im_{lab}"] = np.array([m.value.imag for m in series])
-        cols[f"hopfield_qubit_{lab}"] = np.array([m.qubit_weight for m in series])
-    return {"eigen": cols}, {"n_modes": float(nmodes)}
+def _exp_eigen(cfg: dict):
+    modes = spectra.eigenmodes(spectra.coupling_matrix(params_from_config(cfg)))
+    cols = {"label": np.array([m.label for m in modes], dtype=float),
+            "re": np.array([m.value.real for m in modes]),
+            "im": np.array([m.value.imag for m in modes]),
+            "hopfield_cavity_L": np.array([m.hopfield[0] for m in modes]),
+            "hopfield_cavity_R": np.array([m.hopfield[1] for m in modes]),
+            "hopfield_qubit": np.array([m.qubit_weight for m in modes]),
+            "degenerate": np.array([float(m.degenerate) for m in modes])}
+    return {"eigen": cols}, {"min_decay": float(min(-m.value.imag for m in modes))}
 
 
 def _exp_concurrence(cfg: dict):
     p = params_from_config(cfg, n_qubits=2)
     t = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
-    c = dynamics.concurrence_series(p, t)
     series = dynamics.amplitude_evolve(p, dynamics.excited_qubit_state(2), t,
                                        n_qubits=2)
+    c = dynamics.concurrence(series)
     cols = {"t": t, "concurrence": c,
             "p_qubit_1": series.qubit(0), "p_qubit_2": series.qubit(1),
             "p_cavity_L": series.cavity_L, "p_cavity_R": series.cavity_R}
-    return {"concurrence": cols}, {"c_max": float(c.max())}
-
-
-def _concurrence_summary(cfg: dict) -> dict:
-    p = params_from_config(cfg, n_qubits=2)
-    t = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
-    return {"c_max": dynamics.max_concurrence(p, t)}
+    return {"concurrence": cols}, {"c_max": quadratic_extremum(t, c, int(np.argmax(c)))[1]}
 
 
 def _blockade_drive(cfg: dict, detuning: float) -> DriveSpec:
@@ -277,55 +247,16 @@ def _exp_blockade(cfg: dict):
     return {"blockade": cols}, {"g2": res.g2, "n_L": res.n_L}
 
 
-def _blockade_sweep(cfg: dict, values: np.ndarray, workers: int):
-    p = params_from_config(cfg)
-    layout = SpaceLayout(1, cfg["fock_cutoff"])
-    drive = _blockade_drive(cfg, 0.0)
-    chunks = np.array_split(values, workers) if workers > 1 else [values]
-    chunks = [c for c in chunks if len(c)]
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_blockade_chunk,
-                                  [(p, drive, c, layout, cfg["measure"]) for c in chunks]))
-    else:
-        parts = [_blockade_chunk((p, drive, chunks[0], layout, cfg["measure"]))]
-    results = [r for part in parts for r in part.results]
-    g2_vals = np.array([r.g2 for r in results])
-    nl_vals = np.array([r.n_L for r in results])
-    cols = {"detuning": values, "g2": g2_vals, "n_L": nl_vals}
-    min_det, min_g2 = blockade._interp_extremum(values, g2_vals, "min")
-    max_det, max_nl = blockade._interp_extremum(values, nl_vals, "max")
-    summary = {"min_g2": min_g2, "min_g2_detuning": min_det,
-               "max_n_L": max_nl, "max_n_L_detuning": max_det}
-    return {"blockade": cols}, summary
-
-
-def _blockade_chunk(job):
-    p, drive, dets, layout, measure = job
-    return blockade.g2_sweep(p, drive, dets, layout, measure=measure)
-
-
 def _exp_trapping(cfg: dict):
     cfg = {**cfg, "gamma": 0.0}   # trapping is defined for an ideal emitter
-    p = params_from_config(cfg)
-    plat = dynamics.trapped_population(p)
-    cols = {"p_cavity_L": np.array([plat.components[0]]),
-            "p_cavity_R": np.array([plat.components[1]]),
-            "p_qubit": np.array([plat.components[2]]),
-            "converged": np.array([float(plat.converged)])}
-    summary = {"p_qubit": float(plat.components[2]), "p_cavity": plat.cavity,
+    plat = dynamics.trapped_population(params_from_config(cfg))
+    summary = {"p_qubit": float(plat.components[2]),
+               "p_cavity_L": float(plat.components[0]),
+               "p_cavity_R": float(plat.components[1]),
                "converged": bool(plat.converged)}
+    cols = {key: np.array([float(summary[key])])
+            for key in ("p_cavity_L", "p_cavity_R", "p_qubit", "converged")}
     return {"trapping": cols}, summary
-
-
-def _trapping_summary(cfg: dict) -> dict:
-    cfg = {**cfg, "gamma": 0.0}
-    p = params_from_config(cfg)
-    plat = dynamics.trapped_population(p)
-    return {"p_qubit": float(plat.components[2]),
-            "p_cavity_L": float(plat.components[0]),
-            "p_cavity_R": float(plat.components[1]),
-            "converged": float(plat.converged)}
 
 
 def _exp_fit(cfg: dict):
@@ -336,21 +267,66 @@ def _exp_fit(cfg: dict):
     return {}, result.as_dict()
 
 
-_SUMMARY_FNS = {
-    "ldos": _ldos_summary, "dynamics": _dynamics_summary,
-    "spectrum": _spectrum_summary, "concurrence": _concurrence_summary,
-    "trapping": _trapping_summary,
-}
-_FULL_FNS = {
-    "ldos": _exp_ldos, "dynamics": _exp_dynamics, "spectrum": _exp_spectrum,
+EXPERIMENTS = {
+    "ldos": _exp_ldos, "fit": _exp_fit, "dynamics": _exp_dynamics,
+    "spectrum": _exp_spectrum, "eigen": _exp_eigen,
     "concurrence": _exp_concurrence, "blockade": _exp_blockade,
-    "trapping": _exp_trapping, "fit": _exp_fit,
+    "trapping": _exp_trapping,
 }
 
 
-def _summary_job(job):
-    experiment, cfg = job
-    return _SUMMARY_FNS[experiment](cfg)
+# ---------------------------------------------------------------------------
+# sweeps: each returns one row dict per grid value (None where the point
+# failed), the sweep summary and the failed points as [value, message]
+# ---------------------------------------------------------------------------
+
+def _each_point(values: np.ndarray, fn) -> tuple[list, list]:
+    rows, errors = [], []
+    for v in values:
+        try:
+            rows.append(fn(float(v)))
+        except (EpqedError, ValueError) as exc:
+            rows.append(None)
+            errors.append([float(v), f"{type(exc).__name__}: {exc}"])
+    return rows, errors
+
+
+def _generic_sweep(experiment: str, cfg: dict, name: str, values: np.ndarray):
+    rows, errors = _each_point(
+        values, lambda v: EXPERIMENTS[experiment]({**cfg, name: v})[1])
+    return rows, {"sweep": name, "points": len(values)}, errors
+
+
+def _blockade_sweep(cfg: dict, values: np.ndarray):
+    res = blockade.g2_sweep(params_from_config(cfg), _blockade_drive(cfg, 0.0),
+                            values, SpaceLayout(1, cfg["fock_cutoff"]),
+                            measure=cfg["measure"])
+    rows = [{"g2": r.g2, "n_L": r.n_L} for r in res.results]
+    summary = {"min_g2": res.min_g2, "min_g2_detuning": res.min_g2_detuning,
+               "max_n_L": res.max_n_L, "max_n_L_detuning": res.max_n_L_detuning}
+    return rows, summary, [list(e) for e in res.errors]
+
+
+def _eigen_sweep(cfg: dict, name: str, values: np.ndarray):
+    mats, errors = _each_point(values, lambda v: spectra.coupling_matrix(
+        params_from_config({**cfg, name: v})))
+    good = [i for i, m in enumerate(mats) if m is not None]
+    rows = [None] * len(values)
+    for i, modes in zip(good, spectra.eigenmode_sweep(mats[i] for i in good)):
+        rows[i] = {f"{key}_{m.label}": val
+                   for m in sorted(modes, key=lambda m: m.label)
+                   for key, val in (("re", m.value.real), ("im", m.value.imag),
+                                    ("hopfield_qubit", m.qubit_weight))}
+    n_modes = len(mats[good[0]]) if good else np.nan
+    return rows, {"n_modes": float(n_modes)}, errors
+
+
+def _sweep_columns(name: str, values: np.ndarray, rows: list) -> dict:
+    cols = {name: values}
+    for i, row in enumerate(rows):
+        for key, val in (row or {}).items():
+            cols.setdefault(key, np.full(len(values), np.nan))[i] = float(val)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +381,14 @@ def _jsonable(obj):
 
 
 def write_sidecar(path: Path, experiment: str, cfg: dict, outputs: list[str],
-                  summary: dict, sweep=None):
+                  summary: dict, sweep=None, errors=None):
     payload = {"tool": "epqed", "version": __version__, "experiment": experiment,
                "config": _jsonable(cfg), "outputs": outputs,
                "summary": _jsonable(summary)}
     if sweep is not None:
         name, start, stop, count = sweep
         payload["sweep"] = f"{name}={float(start)!r}:{float(stop)!r}:{count}"
+        payload["errors"] = errors or []
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -419,49 +396,35 @@ def write_sidecar(path: Path, experiment: str, cfg: dict, outputs: list[str],
 # drivers
 # ---------------------------------------------------------------------------
 
-def run(experiment: str, cfg: dict, sweep=None, out_dir: Path = Path("."),
-        workers: int = 1) -> dict:
-    """Execute one experiment; returns the summary written to the sidecar."""
+def run(experiment: str, cfg: dict, sweep=None,
+        out_dir: Path = Path(".")) -> tuple[dict, list]:
+    """Execute one experiment or sweep; returns the summary written to the
+    sidecar and the failed sweep points as [value, "TypeName: message"]."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    if sweep is not None and experiment == "blockade":
-        name, start, stop, count = sweep
-        if name != "detuning":
-            raise ConfigError("blockade sweeps support the 'detuning' axis")
-        values = np.linspace(start, stop, count)
-        tables, summary = _blockade_sweep(cfg, values, workers)
-    elif sweep is not None and experiment == "eigen":
-        name, start, stop, count = sweep
-        tables, summary = _exp_eigen(cfg, sweep=(name, np.linspace(start, stop, count)))
-    elif sweep is not None:
-        if experiment not in _SUMMARY_FNS:
+    errors = []
+    if sweep is None:
+        tables, summary = EXPERIMENTS[experiment](cfg)
+    else:
+        if experiment == "fit":
             raise ConfigError(f"experiment {experiment!r} does not support sweeps")
         name, start, stop, count = sweep
         values = np.linspace(start, stop, count)
-        jobs = [(experiment, {**cfg, name: float(v)}) for v in values]
-        if workers > 1 and count > 3:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_summary_job, jobs))
-        else:
-            rows = [_summary_job(j) for j in jobs]
-        cols = {name: values}
-        for key in rows[0]:
-            cols[key] = np.array([float(r[key]) for r in rows])
-        tables = {experiment: cols}
-        summary = {"sweep": name, "points": count}
-    else:
         if experiment == "eigen":
-            tables, summary = _exp_eigen(cfg)
+            rows, summary, errors = _eigen_sweep(cfg, name, values)
+        elif experiment == "blockade" and name == "detuning":
+            rows, summary, errors = _blockade_sweep(cfg, values)
         else:
-            tables, summary = _FULL_FNS[experiment](cfg)
+            rows, summary, errors = _generic_sweep(experiment, cfg, name, values)
+        tables = {experiment: _sweep_columns(name, values, rows)}
 
+    outputs = []
     for stem, columns in tables.items():
         path = out_dir / f"{stem}.csv"
         write_csv(path, columns, cfg, experiment)
         outputs.append(path.name)
     sidecar = out_dir / f"{experiment}.json"
-    write_sidecar(sidecar, experiment, cfg, outputs, summary, sweep)
-    return summary
+    write_sidecar(sidecar, experiment, cfg, outputs, summary, sweep, errors)
+    return summary, errors
 
 
 def run_reproduce(figure: str, out_dir: Path) -> bool:
@@ -501,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--sweep", metavar="NAME=START:STOP:COUNT",
                         help="sweep one numeric parameter")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        sp.add_argument("--workers", type=int, default=1,
+                        help="ignored; sweeps run serially")
         sp.add_argument("--g", type=float, default=None)
         sp.add_argument("--kappa", type=float, default=None)
         sp.add_argument("--gamma", type=float, default=None)
@@ -529,16 +493,21 @@ def main(argv=None) -> int:
             ok = run_reproduce(args.figure, Path(args.out))
             return 0 if ok else 4
         cfg, sweep = resolve_config(args)
-        summary = run(args.command, cfg, sweep=sweep, out_dir=Path(args.out),
-                      workers=max(1, args.workers))
+        summary, errors = run(args.command, cfg, sweep=sweep, out_dir=Path(args.out))
         print(json.dumps(_jsonable(summary), sort_keys=True))
-        return 0
+        if errors:
+            print(f"epqed: {len(errors)} of {sweep[3]} sweep points failed; "
+                  f"see 'errors' in {args.command}.json", file=sys.stderr)
+        return 3 if sweep is not None and len(errors) == sweep[3] else 0
     except ConfigError as exc:
         print(f"epqed: config error: {exc}", file=sys.stderr)
         return 2
     except EpqedError as exc:
         print(f"epqed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:   # a parameter rejected by the library's validation
+        print(f"epqed: config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

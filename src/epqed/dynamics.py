@@ -131,10 +131,12 @@ def trapped_population(params: ModelParams, t_final: float | None = None,
 
     Evolves to t_final = 50/min(g, kappa) and averages the last 10% of the
     window; a window variance above 1e-4 marks the plateau as not trapped.
-    step is ignored.
+    Raises ValueError unless g and kappa are positive.  step is ignored.
     """
     if params.gamma != 0:
         raise ValueError("population trapping requires gamma = 0")
+    if params.g <= 0 or params.kappa <= 0:
+        raise ValueError("g and kappa must be positive")
     if t_final is None:
         t_final = 50.0 / min(params.g, params.kappa)
     t_grid = np.linspace(0.0, t_final, n_samples)
@@ -161,8 +163,12 @@ def concurrence_series(params: ModelParams, t_grid,
     """
     if params.n_qubits > 2:
         raise ValueError("concurrence is implemented for exactly two qubits")
-    series = amplitude_evolve(params, excited_qubit_state(2), t_grid,
-                              n_qubits=2)
+    return concurrence(amplitude_evolve(params, excited_qubit_state(2), t_grid,
+                                        n_qubits=2))
+
+
+def concurrence(series: PopulationSeries) -> np.ndarray:
+    """C(t) = 2 |C_eg(t) C_ge*(t)| of a two-qubit amplitude series."""
     c_eg = series.amplitudes[:, 2]
     c_ge = series.amplitudes[:, 3]
     return 2.0 * np.abs(c_eg) * np.abs(np.conj(c_ge))

@@ -171,8 +171,55 @@ def test_parse_sweep_validation():
 
 
 def test_workers_parallel_sweep_deterministic(tmp_path):
-    serial, par = tmp_path / "s", tmp_path / "p"
-    args = ["trapping", "--sweep", "g=10:30:5", "--kappa", "20"]
-    assert main(args + ["--workers", "1", "--out", str(serial)]) == 0
-    assert main(args + ["--workers", "4", "--out", str(par)]) == 0
-    assert (serial / "trapping.csv").read_bytes() == (par / "trapping.csv").read_bytes()
+    # --workers is ignored; a blockade sweep once re-based its drive per worker chunk
+    for args in (["trapping", "--sweep", "g=10:30:5", "--kappa", "20"],
+                 ["blockade", "--sweep", "detuning=-12:12:25", "--g", "5"]):
+        serial, par = tmp_path / args[0] / "s", tmp_path / args[0] / "p"
+        assert main(args + ["--workers", "1", "--out", str(serial)]) == 0
+        assert main(args + ["--workers", "2", "--out", str(par)]) == 0
+        csv = f"{args[0]}.csv"
+        assert (serial / csv).read_bytes() == (par / csv).read_bytes()
+
+
+def test_parameter_validation_is_config_error(tmp_path, capsys):
+    assert main(["dynamics", "--g", "-1", "--out", str(tmp_path)]) == 2
+    assert "config error: g must be >= 0" in capsys.readouterr().err
+
+
+def test_sweep_failed_point_is_nan_row_and_recorded(tmp_path, capsys):
+    rc = main(["trapping", "--sweep", "g=0:40:5", "--kappa", "20", "--out", str(tmp_path)])
+    assert rc == 0
+    header, data = read_csv(tmp_path / "trapping.csv")
+    assert header == ["g[1]", "p_qubit[1]", "p_cavity_L[1]", "p_cavity_R[1]", "converged[1]"]
+    assert np.isnan(data[0, 1:]).all() and np.isfinite(data[1:]).all()
+    errors = json.loads((tmp_path / "trapping.json").read_text())["errors"]
+    assert errors == [[0.0, "ValueError: g and kappa must be positive"]]
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "epqed: 1 of 5 sweep points failed; see 'errors' in trapping.json"]
+
+
+def test_sweep_with_every_point_failed_exits_3(tmp_path):
+    rc = main(["blockade", "--sweep", "detuning=-2:2:3", "--g", "5",
+               "--drive-amplitude", "0", "--out", str(tmp_path)])
+    assert rc == 3
+    _, data = read_csv(tmp_path / "blockade.csv")
+    assert np.isnan(data[:, 1:]).all()
+    errors = json.loads((tmp_path / "blockade.json").read_text())["errors"]
+    assert [e[0] for e in errors] == [-2.0, 0.0, 2.0]
+    assert all(e[1].startswith("StatisticsUndefinedError: ") for e in errors)
+
+
+def test_spectrum_grid_is_the_recorded_one(tmp_path):
+    for points, extra in ((4001, []), (1001, ["--set", "omega_points=1001"])):
+        out = tmp_path / str(points)
+        assert main(["spectrum", "--g", "10", "--out", str(out)] + extra) == 0
+        assert read_csv(out / "spectrum.csv")[1].shape[0] == points
+        assert json.loads((out / "spectrum.json").read_text())["config"]["omega_points"] == points
+
+
+def test_concurrence_run_matches_sweep_row(tmp_path):
+    assert main(["concurrence", "--sweep", "g=10:30:3", "--out", str(tmp_path / "s")]) == 0
+    assert main(["concurrence", "--g", "20", "--out", str(tmp_path / "one")]) == 0
+    _, data = read_csv(tmp_path / "s" / "concurrence.csv")
+    c_max = json.loads((tmp_path / "one" / "concurrence.json").read_text())["summary"]["c_max"]
+    assert data[1, 0] == 20.0 and c_max == data[1, 1]

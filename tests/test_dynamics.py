@@ -137,6 +137,8 @@ def test_bic_reverses_population_distribution():
 def test_trapping_requires_ideal_emitter():
     with pytest.raises(ValueError):
         trapped_population(ep(0.0))
+    with pytest.raises(ValueError, match="g and kappa must be positive"):
+        trapped_population(ep(0.0).replace(gamma=0.0, g=0.0))
 
 
 def test_bound_state_detuning_plateau():
