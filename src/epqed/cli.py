@@ -63,6 +63,7 @@ DEFAULTS: dict = {
 }
 _EV_KEYS = ("g", "kappa", "gamma", "omega_c", "d0c", "drive_amplitude",
             "drive_detuning", "detuning")
+_INT_KEYS = ("fock_cutoff", "t_points", "omega_points")
 _FREQ_COLS = ("omega", "detuning", "delta_0c", "delta_omega", "J", "J_dp",
               "J_ep", "gamma_m", "splitting", "peak_omega")
 # per-experiment defaults over DEFAULTS: spectrum peaks need a finer grid
@@ -119,9 +120,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, tuple | None]:
             cfg[key] = float(cfg[key])
         except (TypeError, ValueError):
             raise ConfigError(f"config key {key!r} must be numeric, got {cfg[key]!r}")
-    cfg["fock_cutoff"] = int(cfg["fock_cutoff"])
-    cfg["t_points"] = int(cfg["t_points"])
-    cfg["omega_points"] = int(cfg["omega_points"])
+    for key in _INT_KEYS:
+        cfg[key] = int(cfg[key])
     return cfg, parse_sweep(sweep) if sweep else None
 
 
@@ -136,7 +136,15 @@ def parse_sweep(text: str) -> tuple[str, float, float, int]:
         raise ConfigError(f"sweep axis {name!r} is not a numeric parameter")
     if count < 2:
         raise ConfigError(f"sweep count must be >= 2, got {count}")
+    if name in _INT_KEYS and np.any(np.mod(np.linspace(start, stop, count), 1.0) != 0.0):
+        raise ConfigError(f"sweep axis {name!r} takes integers, but {text!r} "
+                          "has non-integral points")
     return name, start, stop, count
+
+
+def _point_config(cfg: dict, name: str, value: float) -> dict:
+    """cfg with one swept key set; integer keys are coerced per point."""
+    return {**cfg, name: int(value) if name in _INT_KEYS else value}
 
 
 def params_from_config(cfg: dict, n_qubits: int = 1) -> ModelParams:
@@ -293,7 +301,7 @@ def _each_point(values: np.ndarray, fn) -> tuple[list, list]:
 
 def _generic_sweep(experiment: str, cfg: dict, name: str, values: np.ndarray):
     rows, errors = _each_point(
-        values, lambda v: EXPERIMENTS[experiment]({**cfg, name: v})[1])
+        values, lambda v: EXPERIMENTS[experiment](_point_config(cfg, name, v))[1])
     return rows, {"sweep": name, "points": len(values)}, errors
 
 
@@ -309,7 +317,7 @@ def _blockade_sweep(cfg: dict, values: np.ndarray):
 
 def _eigen_sweep(cfg: dict, name: str, values: np.ndarray):
     mats, errors = _each_point(values, lambda v: spectra.coupling_matrix(
-        params_from_config({**cfg, name: v})))
+        params_from_config(_point_config(cfg, name, v))))
     good = [i for i, m in enumerate(mats) if m is not None]
     rows = [None] * len(values)
     for i, modes in zip(good, spectra.eigenmode_sweep(mats[i] for i in good)):
@@ -343,11 +351,14 @@ def _unit(col: str, ev_mode: bool) -> str:
         return "[1/gamma0]"
     if col.startswith(_FREQ_COLS) or col.startswith(("re_", "im_", "re", "im")):
         return f"[{freq_unit}]"
+    if ev_mode and col in _EV_KEYS:   # a swept eV input, written back in eV
+        return "[eV]"
     return "[1]"
 
 
 def _freq_like(col: str) -> bool:
-    return col.startswith(_FREQ_COLS) or col.startswith(("re_", "im_")) or col in ("re", "im")
+    return (col.startswith(_FREQ_COLS) or col.startswith(("re_", "im_"))
+            or col in ("re", "im") or col in _EV_KEYS)
 
 
 def write_csv(path: Path, columns: dict, cfg: dict, experiment: str):
@@ -409,6 +420,8 @@ def run(experiment: str, cfg: dict, sweep=None,
             raise ConfigError(f"experiment {experiment!r} does not support sweeps")
         name, start, stop, count = sweep
         values = np.linspace(start, stop, count)
+        if cfg.get("gamma0_ev") and name in _EV_KEYS:   # eV input, as in resolve_config
+            values = values / float(cfg["gamma0_ev"])
         if experiment == "eigen":
             rows, summary, errors = _eigen_sweep(cfg, name, values)
         elif experiment == "blockade" and name == "detuning":

@@ -63,3 +63,7 @@ class RateUndefinedError(EpqedError, ValueError):
 
 class StatisticsUndefinedError(EpqedError, RuntimeError):
     """Photon statistics undefined because the mode population vanishes."""
+
+
+class MemoryLimitError(EpqedError, MemoryError):
+    """A dense array the request needs would not fit in physical memory."""

@@ -1,7 +1,8 @@
 """Operator algebra on the composite space (qubits (x) two bosonic modes).
 
-Dense complex matrices throughout: the largest space used anywhere in the
-experiments is 2^2 * 5^2 = 100 dimensional.  Basis conventions, fixed here
+Operators are dense complex N x N matrices: N is at most a few hundred
+(2^2 * 5^2 = 100 for two emitters at Fock cutoff 5, 128 for one at cutoff
+8).  The N^2 x N^2 superoperators built from them in `master` are sparse.  Basis conventions, fixed here
 once for all modules: qubit ground state is index 0, excited index 1; Fock
 states ascend 0..N-1; slot order is [qubit_1 .. qubit_n, cavity_L, cavity_R].
 """

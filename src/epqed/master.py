@@ -16,12 +16,15 @@ time independent.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import hilbert
-from .errors import AccuracyError, BuildError, DegenerateSteadyStateError
+from .errors import (AccuracyError, BuildError, DegenerateSteadyStateError,
+                     MemoryLimitError)
 from .hilbert import SpaceLayout
 from .numerics import propagate
 from .params import DriveSpec, ModelParams
@@ -44,21 +47,48 @@ def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape(dim, dim, order="F")
 
 
-def spre(a: np.ndarray) -> np.ndarray:
-    """Superoperator of left multiplication: vec(a rho)."""
-    return np.kron(np.eye(a.shape[0], dtype=complex), a)
+def _csr(a):
+    import scipy.sparse   # imported on use, to keep `import epqed` light
+
+    return scipy.sparse.csr_matrix(a, dtype=complex)
 
 
-def spost(b: np.ndarray) -> np.ndarray:
-    """Superoperator of right multiplication: vec(rho b)."""
-    return np.kron(b.T, np.eye(b.shape[0], dtype=complex))
+def sprepost(a, b):
+    """Superoperator of two-sided multiplication, vec(a rho b) = kron(b^T, a) vec(rho), CSR."""
+    import scipy.sparse
+
+    return scipy.sparse.kron(_csr(b).T, _csr(a), format="csr")
 
 
-def lindblad_dissipator(op: np.ndarray) -> np.ndarray:
-    """L[O]rho = O rho O^dag - {O^dag O, rho}/2 as a superoperator."""
+def spre(a):
+    """Superoperator of left multiplication: vec(a rho), CSR."""
+    import scipy.sparse
+
+    return sprepost(a, scipy.sparse.identity(a.shape[0], dtype=complex))
+
+
+def spost(b):
+    """Superoperator of right multiplication: vec(rho b), CSR."""
+    import scipy.sparse
+
+    return sprepost(scipy.sparse.identity(b.shape[0], dtype=complex), b)
+
+
+def lindblad_dissipator(op):
+    """L[O]rho = O rho O^dag - {O^dag O, rho}/2 as a CSR superoperator."""
     od = op.conj().T
     odo = od @ op
-    return spre(op) @ spost(od) - 0.5 * (spre(odo) + spost(odo))
+    return sprepost(op, od) - 0.5 * (spre(odo) + spost(odo))
+
+
+def _require_dense_fits(n: int, what: str):
+    """Raise MemoryLimitError if a dense complex n x n array exceeds physical memory."""
+    need = 16 * n * n
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise MemoryLimitError(
+            f"{what} needs a dense {n} x {n} complex array ({need / 2**30:.3g} GiB), "
+            f"more than the {have / 2**30:.3g} GiB of physical memory")
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +145,9 @@ def _clean(raw: np.ndarray) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Built superoperator with its provenance."""
+    """Built superoperator (CSR `generator`) with its provenance."""
 
-    matrix: np.ndarray
+    generator: scipy.sparse.csr_matrix
     layout: SpaceLayout
     params: ModelParams
     drive: DriveSpec | None
@@ -127,11 +157,17 @@ class Liouvillian:
     def dim(self) -> int:
         return self.layout.dim
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense copy of the generator, made on first access (for dense oracles)."""
+        _require_dense_fits(self.generator.shape[0], "the dense Liouvillian")
+        return self.generator.toarray()
+
 
 def build_liouvillian(params: ModelParams, layout: SpaceLayout,
                       drive: DriveSpec | None = None,
                       frame: float | None = None) -> Liouvillian:
-    """Assemble L with vec(drho/dt) = L vec(rho).
+    """Assemble L with vec(drho/dt) = L vec(rho) as a CSR matrix.
 
     frame overrides the rotation frequency (None = omega_drive when driven,
     else omega_c; pass 0.0 for the lab frame).
@@ -148,7 +184,7 @@ def build_liouvillian(params: ModelParams, layout: SpaceLayout,
     n_r = c_r.conj().T @ c_r
 
     h = (params.omega_c - frame) * (n_l + n_r)
-    lmat = np.zeros((layout.dim**2, layout.dim**2), dtype=complex)
+    lmat = _csr((layout.dim**2, layout.dim**2))
     if n > 0:
         omega0 = params.omega0_list(n)
         phi = params.phi_azim_list(n)
@@ -171,15 +207,16 @@ def build_liouvillian(params: ModelParams, layout: SpaceLayout,
     if params.r_abs > 0.0 and params.kappa > 0.0:
         ph = np.exp(1j * params.phi_prop)
         k_r = params.kappa * params.r_abs
-        lmat += k_r * ph * (spre(c_l) @ spost(c_r.conj().T) - spre(c_r.conj().T @ c_l))
-        lmat += k_r * np.conj(ph) * (spre(c_r) @ spost(c_l.conj().T) - spost(c_l.conj().T @ c_r))
+        lmat += k_r * ph * (sprepost(c_l, c_r.conj().T) - spre(c_r.conj().T @ c_l))
+        lmat += k_r * np.conj(ph) * (sprepost(c_r, c_l.conj().T) - spost(c_l.conj().T @ c_r))
 
-    return Liouvillian(matrix=lmat, layout=layout, params=params, drive=drive,
+    return Liouvillian(generator=lmat, layout=layout, params=params, drive=drive,
                        frame=frame)
 
 
-def _generator(lv) -> np.ndarray:
-    return lv.matrix if isinstance(lv, Liouvillian) else np.asarray(lv, dtype=complex)
+def _generator(lv):
+    """The CSR generator of a Liouvillian, or a dense or sparse matrix as CSR."""
+    return lv.generator if isinstance(lv, Liouvillian) else _csr(lv)
 
 
 # ---------------------------------------------------------------------------
@@ -235,31 +272,46 @@ def evolve(lv, rho0, t_grid, step: float | None = None) -> EvolutionResult:
 # ---------------------------------------------------------------------------
 
 def steady_state(lv, kernel_tol: float = 1e-8) -> DensityMatrix:
-    """Solve L vec(rho) = 0 with Tr(rho) = 1 by a rank-completed dense solve.
+    """Solve L vec(rho) = 0 with Tr(rho) = 1 by one sparse LU.
 
-    Raises DegenerateSteadyStateError when the kernel is more than
-    one-dimensional within kernel_tol (relative singular-value threshold),
-    e.g. for gamma = 0 undriven configurations supporting bound states.
+    The first row of L (the equation for rho_00) is replaced by the trace
+    row and the completed system, in reverse Cuthill-McKee order, is
+    factored with SuperLU.  Only when that
+    fails, or leaves a residual |L v| above 1e-10, is the dense spectrum
+    computed (guarded by MemoryLimitError) to classify the failure:
+    DegenerateSteadyStateError when the kernel is more than one-dimensional
+    within kernel_tol (relative singular-value threshold), e.g. for
+    gamma = 0 undriven configurations supporting bound states, else
+    AccuracyError.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     lmat = _generator(lv)
     n2 = lmat.shape[0]
     dim = int(round(np.sqrt(n2)))
-    a = lmat.copy()
-    trace_row = np.zeros(n2, dtype=complex)
-    trace_row[:: dim + 1] = 1.0
-    a[0, :] = trace_row
+    trace_row = scipy.sparse.csr_matrix(
+        (np.ones(dim, dtype=complex), np.arange(0, n2, dim + 1), [0, dim]), shape=(1, n2))
+    a = scipy.sparse.vstack([trace_row, lmat[1:]], format="csr")
+    # a symmetric reverse Cuthill-McKee ordering roughly halves SuperLU's fill
+    # and time against its default COLAMD column ordering on these generators
+    perm = reverse_cuthill_mckee(abs(a) + abs(a.T), symmetric_mode=True)
     b = np.zeros(n2, dtype=complex)
     b[0] = 1.0
+    v = np.empty(n2, dtype=complex)
     try:
-        v = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
+        lu = scipy.sparse.linalg.splu(a[perm][:, perm].tocsc(), permc_spec="NATURAL")
+        v[perm] = lu.solve(b[perm])
+    except RuntimeError:   # SuperLU: the factor is exactly singular
         v = None
     residual = np.inf
     if v is not None and np.all(np.isfinite(v)):
         residual = float(np.linalg.norm(lmat @ v))
     if residual > 1e-10:
         # slow path: classify the failure via the kernel dimension
-        svals = np.linalg.svd(lmat, compute_uv=False)
+        _require_dense_fits(n2, "classifying the steady-state failure")
+        svals = np.linalg.svd(lmat.toarray(), compute_uv=False)
         null_dim = int(np.sum(svals < kernel_tol * svals[0]))
         if null_dim > 1:
             raise DegenerateSteadyStateError(

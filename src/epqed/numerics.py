@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 
-DENSE_EXPM_MAX_DIM = 256   # above this, propagate with expm_multiply on a sparse copy
+DENSE_EXPM_MAX_DIM = 256   # above this, propagate with expm_multiply on CSR
 
 
 def distinct_steps(t_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -24,27 +24,29 @@ def distinct_steps(t_grid) -> tuple[np.ndarray, np.ndarray]:
 def propagate(a, x0, t_grid) -> np.ndarray:
     """Samples x(t_k) = exp(a (t_k - t_0)) x0 of dx/dt = a x, shape (len(t_grid), n).
 
-    Exact for any constant a, defective ones included: up to
-    DENSE_EXPM_MAX_DIM, one scaling-and-squaring exponential per distinct
-    spacing and a matrix-vector product per sample; above it, Al-Mohy and
-    Higham's expm_multiply per interval on a sparse copy of a.
+    a is a dense array or a scipy.sparse matrix.  Exact for any constant a,
+    defective ones included: up to DENSE_EXPM_MAX_DIM, one
+    scaling-and-squaring exponential per distinct spacing (on a dense copy
+    of a sparse a) and a matrix-vector product per sample; above it, Al-Mohy
+    and Higham's expm_multiply per interval on a as CSR.
     """
     import scipy.linalg   # imported on use, to keep `import epqed` light
 
-    a = np.asarray(a, dtype=complex)
     steps, index = distinct_steps(t_grid)
     out = np.empty((len(index) + 1, a.shape[0]), dtype=complex)
     out[0] = x0
     if a.shape[0] <= DENSE_EXPM_MAX_DIM:
+        # duck-typed, so dense callers do not import scipy.sparse (1.5 MiB)
+        a = a.toarray() if hasattr(a, "toarray") else np.asarray(a, dtype=complex)
         step_maps = [scipy.linalg.expm(a * dt) for dt in steps]
         for k, i in enumerate(index):
             out[k + 1] = step_maps[i] @ out[k]
     else:
         import scipy.sparse.linalg
 
-        sparse_a = scipy.sparse.csr_matrix(a)
+        a = scipy.sparse.csr_matrix(a, dtype=complex)   # no copy for a complex CSR a
         for k, i in enumerate(index):
-            out[k + 1] = scipy.sparse.linalg.expm_multiply(sparse_a * steps[i], out[k])
+            out[k + 1] = scipy.sparse.linalg.expm_multiply(a * steps[i], out[k])
     return out
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from epqed.blockade import (BlockadeResult, critical_coupling, g2_sweep,
                             g2_zero)
@@ -64,6 +67,24 @@ def test_sweep_matches_pointwise_and_is_symmetric():
     g2_vals = [r.g2 for r in sweep.results]
     assert g2_vals[0] == pytest.approx(g2_vals[-1], rel=1e-9)
     assert g2_vals[1] == pytest.approx(g2_vals[-2], rel=1e-9)
+
+
+@given(g=st.floats(1.0, 10.0), kappa=st.floats(5.0, 30.0), gamma=st.floats(0.1, 5.0),
+       r_abs=st.floats(0.0, 1.0), phi=st.floats(-np.pi, np.pi),
+       amp_frac=st.floats(0.01, 0.1), dets=st.lists(st.floats(-10.0, 10.0), min_size=2,
+                                                     max_size=3, unique=True))
+@settings(max_examples=15, deadline=None)
+def test_sweep_rows_equal_g2_zero_on_random_parameters(g, kappa, gamma, r_abs, phi,
+                                                       amp_frac, dets):
+    # the sweep shifts one build by the detuning; g2_zero builds at each one.
+    # g2's numerator is a two-photon probability ~ n_L^2 (down to 1e-12 here),
+    # so rounding in rho reaches it amplified: 3.5e-9 at worst over 360 points
+    p = ModelParams(g=g, kappa=kappa, gamma=gamma, r_abs=r_abs, phi_prop=phi)
+    amp = amp_frac * kappa
+    sweep = g2_sweep(p, drive(amplitude=amp), np.array(dets), LAYOUT)
+    direct = [g2_zero(p, drive(detuning=d, amplitude=amp), LAYOUT) for d in dets]
+    assert_allclose([r.n_L for r in sweep.results], [r.n_L for r in direct], rtol=1e-10)
+    assert_allclose([r.g2 for r in sweep.results], [r.g2 for r in direct], rtol=1e-8)
 
 
 def test_sweep_collects_per_point_errors_and_continues():

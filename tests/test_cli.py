@@ -223,3 +223,26 @@ def test_concurrence_run_matches_sweep_row(tmp_path):
     _, data = read_csv(tmp_path / "s" / "concurrence.csv")
     c_max = json.loads((tmp_path / "one" / "concurrence.json").read_text())["summary"]["c_max"]
     assert data[1, 0] == 20.0 and c_max == data[1, 1]
+
+
+def test_integer_key_sweep_runs_and_rejects_fractions(tmp_path, capsys):
+    assert main(["dynamics", "--sweep", "t_points=11:21:3", "--out", str(tmp_path / "s")]) == 0
+    assert main(["dynamics", "--set", "t_points=16", "--out", str(tmp_path / "one")]) == 0
+    header, data = read_csv(tmp_path / "s" / "dynamics.csv")
+    assert header[0] == "t_points[1]" and list(data[:, 0]) == [11.0, 16.0, 21.0]
+    summary = json.loads((tmp_path / "one" / "dynamics.json").read_text())["summary"]
+    assert data[1, 1] == summary["max_p_cavity_R"]
+    assert main(["dynamics", "--sweep", "t_points=11:21:4", "--out", str(tmp_path / "f")]) == 2
+    assert "takes integers" in capsys.readouterr().err
+
+
+def test_ev_mode_sweep_row_equals_single_run(tmp_path):
+    ev = ["--set", "gamma0_ev=2.677e-7", "--set", "kappa=152.8e-6",
+          "--set", "gamma=2.677e-7", "--set", "t_points=201"]
+    assert main(["dynamics", *ev, "--sweep", "g=20e-6:30e-6:3", "--out", str(tmp_path / "s")]) == 0
+    assert main(["dynamics", *ev, "--set", "g=25e-6", "--out", str(tmp_path / "one")]) == 0
+    header, data = read_csv(tmp_path / "s" / "dynamics.csv")
+    assert header[:2] == ["g[eV]", "max_p_cavity_R[1]"]
+    assert data[1, 0] == pytest.approx(25e-6, rel=1e-12)
+    summary = json.loads((tmp_path / "one" / "dynamics.json").read_text())["summary"]
+    assert data[1, 1] == summary["max_p_cavity_R"]

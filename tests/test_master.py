@@ -1,14 +1,20 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from epqed.errors import AccuracyError, BuildError, DegenerateSteadyStateError
+from epqed.errors import (AccuracyError, BuildError, DegenerateSteadyStateError,
+                          MemoryLimitError)
 from epqed.hilbert import SpaceLayout, cavity_ops, product_ket, qubit_lowering
-from epqed.master import (DensityMatrix, build_liouvillian, convergence_check,
-                          evolve, lindblad_dissipator, spost, spre,
-                          steady_state, two_time_correlation, unvectorize,
-                          vacuum_state, vectorize)
+from epqed.master import (DensityMatrix, Liouvillian, build_liouvillian,
+                          convergence_check, evolve, lindblad_dissipator, spost,
+                          spre, sprepost, steady_state, two_time_correlation,
+                          unvectorize, vacuum_state, vectorize)
 from epqed.params import DriveSpec, ModelParams
 
 
@@ -22,6 +28,9 @@ def test_column_stacking_convention():
                  for _ in range(3))
     assert_allclose(spre(a) @ vectorize(rho), vectorize(a @ rho), atol=1e-14)
     assert_allclose(spost(b) @ vectorize(rho), vectorize(rho @ b), atol=1e-14)
+    assert_allclose(sprepost(a, b) @ vectorize(rho), vectorize(a @ rho @ b), atol=1e-13)
+    assert all(scipy.sparse.isspmatrix_csr(m) for m in (spre(a), spost(b), sprepost(a, b),
+                                                        lindblad_dissipator(a)))
     assert_allclose(unvectorize(vectorize(rho), 3), rho)
 
 
@@ -306,3 +315,109 @@ def test_evolution_drift_diagnostics():
     res = evolve(lv, rho0, np.linspace(0.0, 1.0, 21))
     assert res.max_trace_drift <= 1e-8
     assert res.max_hermiticity_defect <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# sparse generator and steady state against dense references
+# ---------------------------------------------------------------------------
+
+def dense_reference_liouvillian(p, lay, drive):
+    """L from dense np.kron products, term by term as build_liouvillian writes it."""
+    eye = np.eye(lay.dim)
+
+    def pre(a):
+        return np.kron(eye, a)
+
+    def post(b):
+        return np.kron(b.T, eye)
+
+    def dissipator(o):
+        odo = o.conj().T @ o
+        return np.kron(o.conj(), o) - 0.5 * (pre(odo) + post(odo))
+
+    c_l, c_r = cavity_ops(lay)
+    frame = drive.omega_drive
+    h = (p.omega_c - frame) * (c_l.conj().T @ c_l + c_r.conj().T @ c_r)
+    lmat = np.zeros((lay.dim**2, lay.dim**2), dtype=complex)
+    for i in range(lay.n_qubits):
+        sm = qubit_lowering(lay, i)
+        w0, phi = p.omega0_list(lay.n_qubits)[i], p.phi_azim_list(lay.n_qubits)[i]
+        h = h + (w0 - frame) * (sm.conj().T @ sm)
+        for c, ph in ((c_l, np.exp(-1j * phi)), (c_r, np.exp(1j * phi))):
+            h = h + p.g * (ph * (c.conj().T @ sm) + np.conj(ph) * (sm.conj().T @ c))
+        lmat += p.gamma * dissipator(sm)
+    c_d = c_l if drive.target == "cavity_L" else c_r
+    h = h + drive.amplitude * (c_d + c_d.conj().T)
+    lmat += -1j * (pre(h) - post(h))
+    lmat += p.kappa * (dissipator(c_l) + dissipator(c_r))
+    k_r = p.kappa * p.r_abs * np.exp(1j * p.phi_prop)
+    lmat += k_r * (np.kron(c_r.conj(), c_l) - pre(c_r.conj().T @ c_l))
+    lmat += np.conj(k_r) * (np.kron(c_l.conj(), c_r) - post(c_l.conj().T @ c_r))
+    return lmat
+
+
+random_models = st.builds(
+    lambda lay, g, kappa, gamma, r_abs, phi, phi2, det, amp, target: (
+        lay, ModelParams(g=g, kappa=kappa, gamma=gamma, r_abs=r_abs, phi_prop=phi,
+                         phi_azim=(0.0, phi2)[:max(lay.n_qubits, 1)]),
+        DriveSpec(omega_drive=det, amplitude=amp, target=target)),
+    st.sampled_from([SpaceLayout(0, 2), SpaceLayout(0, 4), SpaceLayout(1, 2),
+                     SpaceLayout(1, 3), SpaceLayout(2, 2)]),
+    st.floats(0.0, 10.0), st.floats(0.5, 30.0), st.floats(0.1, 5.0), st.floats(0.0, 1.0),
+    st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.floats(-10.0, 10.0),
+    st.floats(0.0, 2.0), st.sampled_from(["cavity_L", "cavity_R"]))
+
+
+@given(model=random_models)
+@settings(max_examples=40, deadline=None)
+def test_sparse_liouvillian_matches_dense_kron_reference(model):
+    lay, p, drive = model
+    lv = build_liouvillian(p, lay, drive=drive)
+    assert scipy.sparse.isspmatrix_csr(lv.generator)
+    ref = dense_reference_liouvillian(p, lay, drive)
+    assert np.abs(lv.generator.toarray() - ref).max() <= 1e-13
+
+
+@given(model=random_models)
+@settings(max_examples=40, deadline=None)
+def test_sparse_steady_state_matches_dense_solve(model):
+    lay, p, drive = model
+    lv = build_liouvillian(p, lay, drive=drive)
+    a = lv.generator.toarray()
+    a[0, :] = np.eye(lay.dim).reshape(-1)   # the trace row
+    b = np.zeros(lay.dim**2, dtype=complex)
+    b[0] = 1.0
+    dense = unvectorize(np.linalg.solve(a, b), lay.dim)
+    assert_allclose(steady_state(lv).entries, dense, rtol=0, atol=1e-10)
+
+
+def test_dense_view_of_huge_layout_raises_without_allocating():
+    lay = SpaceLayout(2, 30)   # N^2 = 1.3e7: the dense L would take 2.7e15 bytes
+    n2 = lay.dim**2
+    lv = Liouvillian(generator=scipy.sparse.csr_matrix((n2, n2), dtype=complex),
+                     layout=lay, params=ModelParams(), drive=None, frame=0.0)
+    with pytest.raises(MemoryLimitError, match="physical memory"):
+        lv.matrix
+
+
+def test_dense_steady_state_fallback_is_guarded(monkeypatch):
+    # the degenerate kernel of test_degenerate_kernel_raises, on a machine too
+    # small for its dense 64 x 64 fallback
+    p = ModelParams.from_delta_phi(0.0, g=5.0, kappa=20.0, gamma=0.0)
+    lv = build_liouvillian(p, SpaceLayout(1, 2))
+    monkeypatch.setattr(os, "sysconf", lambda name: 8)
+    with pytest.raises(MemoryLimitError):
+        steady_state(lv)
+
+
+def test_one_qubit_at_cutoff_8_builds_and_evolves():
+    # N^2 = 16384: the dense L alone would take 4.3 GB
+    p = ModelParams(g=5.0, kappa=20.0, gamma=1.0)
+    lay = SpaceLayout(1, 8)
+    lv = build_liouvillian(p, lay, drive=DriveSpec(omega_drive=0.0, amplitude=0.2))
+    assert lv.generator.shape == (16384, 16384) and lv.generator.nnz < 300_000
+    res = evolve(lv, vacuum_state(lay), np.linspace(0.0, 0.1, 3))
+    assert res.max_trace_drift <= 1e-12
+    _, c_r = cavity_ops(lay)
+    n_r = res.expect(c_r.conj().T @ c_r).real
+    assert n_r[0] == 0.0 and 0.0 < n_r[1] < n_r[2] < 1e-3
