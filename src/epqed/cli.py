@@ -82,9 +82,15 @@ def _parse_value(text: str):
 
 
 def resolve_config(args: argparse.Namespace) -> tuple[dict, tuple | None]:
-    """Config and sweep of a run; an explicit --sweep overrides a sidecar's."""
+    """Config and sweep of a run; an explicit --sweep overrides a sidecar's.
+
+    With gamma0_ev set, the eV keys given by --set, a flag or a plain config
+    file are divided by it; those loaded from a sidecar, which records them
+    already divided, are not.
+    """
     cfg = {**DEFAULTS, **_EXPERIMENT_DEFAULTS.get(args.command, {})}
     sweep = args.sweep
+    in_gamma0 = set()   # eV keys already divided by gamma0_ev
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -93,6 +99,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, tuple | None]:
         if "config" in loaded and isinstance(loaded["config"], dict):
             sweep = sweep or loaded.get("sweep")   # re-run from a sidecar
             loaded = loaded["config"]
+            in_gamma0.update(_EV_KEYS)   # a sidecar records the resolved config
         for key, val in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r} in {args.config}")
@@ -104,14 +111,16 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, tuple | None]:
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = _parse_value(val)
+        in_gamma0.discard(key)
     for key in ("g", "kappa", "gamma", "r_abs", "delta_phi", "d0c",
                 "drive_amplitude", "fock_cutoff", "input"):
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             cfg[key] = flag
+            in_gamma0.discard(key)
     if cfg["gamma0_ev"]:
         scale = float(cfg["gamma0_ev"])
-        for key in _EV_KEYS:
+        for key in set(_EV_KEYS) - in_gamma0:
             cfg[key] = float(cfg[key]) / scale
     for key in cfg:
         if key in ("input", "ldos_method", "drive_target", "measure"):

@@ -20,7 +20,6 @@ from .spectra import coupling_matrix
 
 PLATEAU_WINDOW = 0.1
 PLATEAU_VAR_TOL = 1e-4
-LEAK_CHUNK = 256   # intervals per block of leak quadratic forms (bounds memory)
 
 
 def excited_qubit_state(n_qubits: int, index: int = 0) -> np.ndarray:
@@ -83,13 +82,16 @@ def amplitude_evolve(params: ModelParams, p0: np.ndarray, t_grid,
     k_total = 1j * (m - m.conj().T)
     k_gamma = np.zeros_like(k_total)
     k_gamma[2:, 2:] = np.diag(np.diag(k_total)[2:])
-    qs = np.array([[van_loan_integral(a, k, dt) for dt in steps]
-                   for k in (k_total - k_gamma, k_gamma)])
+    # Re(p^dag Q p) = u^T R(Q) u for u = (Re p_0, Im p_0, Re p_1, ...), a view
+    # of each interval's start, and R(Q) the real form of Q: no copy of the
+    # samples where one spacing serves every interval
+    u = amps[:-1].view(float)
     leaked = np.zeros((2, len(t_grid)))   # per-interval increments, summed below
-    for c in range(0, len(index), LEAK_CHUNK):
-        p = amps[c:min(c + LEAK_CHUNK, len(index))]   # each interval's start
-        leaked[:, c + 1:c + 1 + len(p)] = np.einsum(
-            "ki,ckij,kj->ck", p.conj(), qs[:, index[c:c + LEAK_CHUNK]], p).real
+    for i, dt in enumerate(steps):
+        q = np.array([van_loan_integral(a, k, dt) for k in (k_total - k_gamma, k_gamma)])
+        r = np.kron(q.real, np.eye(2)) + np.kron(q.imag, [[0.0, -1.0], [1.0, 0.0]])
+        rows = slice(None) if len(steps) == 1 else np.flatnonzero(index == i)
+        leaked[:, 1:][:, rows] = np.einsum("ki,cij,kj->ck", u[rows], r, u[rows])
     np.cumsum(leaked, axis=1, out=leaked)
     return PopulationSeries(times=t_grid, amplitudes=amps,
                             leaked_kappa=leaked[0], leaked_gamma=leaked[1])

@@ -20,12 +20,12 @@ from scipy import constants as sc
 from . import master
 from .errors import (DivergenceError, FitError, TruncationError,
                      UndefinedPurcellError)
-from .hilbert import SpaceLayout, cavity_ops, product_ket
+from .hilbert import SpaceLayout, cavity_ops, identity, product_ket
+from .numerics import uniform_fourier_sum
 from .params import ModelParams
 
 HBAR_EVS = sc.hbar / sc.e  # hbar in eV*s
 DEBYE = 1e-21 / sc.c       # C*m per Debye
-FOURIER_CHUNK = 16         # frequency rows per block of the correlator transform
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,16 @@ def delay_check(length: float, group_velocity: float, params: ModelParams,
 def numerical_spectral_density(params: ModelParams, layout: SpaceLayout,
                                omega_grid, tau_max: float | None = None,
                                tau_step: float | None = None) -> SpectrumSeries:
-    """J(omega) from the photonic two-time correlators (cavity-only dynamics).
+    """J(omega) from the photonic two-time correlator (cavity-only dynamics).
 
-    The four correlators <c_i^dag(0) c_j(tau)> are propagated with the
-    quantum regression theorem under the cavity-only generator (single-photon
-    normalization <c^dag(0) c(0)> = 1) and Fourier-transformed by the
-    trapezoid rule on a uniform tau grid (defaults: window 40/kappa, spacing
-    0.002/kappa).
+    The emitter couples to c = c_L + e^{-2i phi_azim} c_R, so by linearity
+    the four correlators <c_i^dag(0) c_j(tau)> sum to one,
+    <c^dag(0) c(tau)> = Tr{c exp(L tau)[rho_L c_L^dag + e^{2i phi_azim} rho_R c_R^dag]},
+    propagated with the quantum regression theorem under the cavity-only
+    generator (single-photon normalization <c_i^dag(0) c_i(0)> = 1).  It is
+    Fourier-transformed by the trapezoid rule on a uniform tau grid
+    (defaults: window 40/kappa, spacing 0.002/kappa), factored by
+    uniform_fourier_sum.
     """
     if layout.n_qubits != 0:
         raise ValueError("numerical spectral density needs a cavity-only layout")
@@ -174,14 +177,9 @@ def numerical_spectral_density(params: ModelParams, layout: SpaceLayout,
     rho_l = master.DensityMatrix.from_ket(product_ket(layout, (), 1, 0))
     rho_r = master.DensityMatrix.from_ket(product_ket(layout, (), 0, 1))
 
-    c_ll = master.two_time_correlation(lv, rho_l, c_l.conj().T, c_l, tau)
-    c_lr = master.two_time_correlation(lv, rho_l, c_l.conj().T, c_r, tau)
-    c_rr = master.two_time_correlation(lv, rho_r, c_r.conj().T, c_r, tau)
-    c_rl = master.two_time_correlation(lv, rho_r, c_r.conj().T, c_l, tau)
-
-    # emitter couples to c_L + e^{-2i phi_azim} c_R
     phase = np.exp(-2j * params.phi_azim_list()[0])
-    corr = c_ll + c_rr + phase * c_lr + np.conj(phase) * c_rl
+    source = rho_l.entries @ c_l.conj().T + np.conj(phase) * (rho_r.entries @ c_r.conj().T)
+    corr = master.two_time_correlation(lv, source, identity(layout.dim), c_l + phase * c_r, tau)
 
     # neglected-tail bound on the integral, per unit g^2
     tail = abs(corr[-1]) * (2.0 / (np.pi * params.kappa))
@@ -189,17 +187,11 @@ def numerical_spectral_density(params: ModelParams, layout: SpaceLayout,
         raise TruncationError(
             f"correlator tail bound {tail:.3e} > 1e-8; increase tau_max ({tau_max:g})")
 
-    # trapezoid weights folded into the correlator once; a few frequency rows
-    # at a time keep the n_omega x n_tau phase factors out of memory
-    weighted = corr * (tau[1] - tau[0])
+    weighted = corr * (tau[1] - tau[0])   # trapezoid weights
     weighted[[0, -1]] *= 0.5
     omega_grid = np.asarray(omega_grid, dtype=float)
-    j = np.empty_like(omega_grid)
-    detuning = omega_grid - params.omega_c
-    for i0 in range(0, len(detuning), FOURIER_CHUNK):
-        w = detuning[i0:i0 + FOURIER_CHUNK]
-        j[i0:i0 + FOURIER_CHUNK] = (params.g**2 / np.pi) * np.real(
-            np.exp(1j * np.outer(w, tau)) @ weighted)
+    j = (params.g**2 / np.pi) * np.real(
+        uniform_fourier_sum(weighted, tau[1] - tau[0], omega_grid - params.omega_c))
     return SpectrumSeries(omega_grid, j)
 
 

@@ -25,29 +25,71 @@ def propagate(a, x0, t_grid) -> np.ndarray:
     """Samples x(t_k) = exp(a (t_k - t_0)) x0 of dx/dt = a x, shape (len(t_grid), n).
 
     a is a dense array or a scipy.sparse matrix.  Exact for any constant a,
-    defective ones included: up to DENSE_EXPM_MAX_DIM, one
-    scaling-and-squaring exponential per distinct spacing (on a dense copy
-    of a sparse a) and a matrix-vector product per sample; above it, Al-Mohy
-    and Higham's expm_multiply per interval on a as CSR.
+    defective ones included.  Up to DENSE_EXPM_MAX_DIM, one
+    scaling-and-squaring exponential S = exp(a dt) per distinct spacing (on a
+    dense copy of a sparse a); a grid with a single spacing is then sampled in
+    blocks by uniform_powers (about 2 sqrt(len(t_grid)) matrix products), any
+    other grid by a matrix-vector product per interval.  Above it, Al-Mohy and
+    Higham's expm_multiply per interval on a as CSR.
     """
     import scipy.linalg   # imported on use, to keep `import epqed` light
 
     steps, index = distinct_steps(t_grid)
-    out = np.empty((len(index) + 1, a.shape[0]), dtype=complex)
-    out[0] = x0
-    if a.shape[0] <= DENSE_EXPM_MAX_DIM:
+    dense = a.shape[0] <= DENSE_EXPM_MAX_DIM
+    if dense:
         # duck-typed, so dense callers do not import scipy.sparse (1.5 MiB)
         a = a.toarray() if hasattr(a, "toarray") else np.asarray(a, dtype=complex)
         step_maps = [scipy.linalg.expm(a * dt) for dt in steps]
-        for k, i in enumerate(index):
-            out[k + 1] = step_maps[i] @ out[k]
+        if len(step_maps) == 1:
+            return uniform_powers(step_maps[0], x0, len(index) + 1)
     else:
         import scipy.sparse.linalg
 
         a = scipy.sparse.csr_matrix(a, dtype=complex)   # no copy for a complex CSR a
-        for k, i in enumerate(index):
-            out[k + 1] = scipy.sparse.linalg.expm_multiply(a * steps[i], out[k])
+    out = np.empty((len(index) + 1, a.shape[0]), dtype=complex)
+    out[0] = x0
+    for k, i in enumerate(index):
+        out[k + 1] = (step_maps[i] @ out[k] if dense
+                      else scipy.sparse.linalg.expm_multiply(a * steps[i], out[k]))
     return out
+
+
+def uniform_powers(step_map, x0, n_samples: int) -> np.ndarray:
+    """x_k = S^k x0 for k < n_samples, shape (n_samples, n), in blocks of m = ceil(sqrt(n_samples)).
+
+    With k = q m + r, x_k = S^r (S^m)^q x0: the anchors (S^m)^q x0 take one
+    matrix-vector product each, and S is applied to all of them at once m
+    times, so about 2 m matrix products replace n_samples - 1 matrix-vector
+    products, with the same arithmetic per sample and no array beyond the output.
+    """
+    x0 = np.asarray(x0, dtype=complex)
+    m = int(np.ceil(np.sqrt(n_samples)))
+    jump = np.linalg.matrix_power(step_map, m)
+    anchors = np.empty((x0.size, -(-n_samples // m)), dtype=complex)
+    anchors[:, 0] = x0
+    for q in range(1, anchors.shape[1]):
+        anchors[:, q] = jump @ anchors[:, q - 1]
+    out = np.empty((anchors.shape[1], m, x0.size), dtype=complex)
+    for r in range(m):
+        out[:, r] = anchors.T
+        anchors = step_map @ anchors
+    return out.reshape(-1, x0.size)[:n_samples]
+
+
+def uniform_fourier_sum(values, step: float, omega) -> np.ndarray:
+    """F(w) = sum_k values_k exp(i w k step) for each w of omega (any grid).
+
+    With k = q m + r and m = ceil(sqrt(len(values))), exp(i w k step) =
+    exp(i w q m step) exp(i w r step): one (Q x m) @ (m x len(omega)) product
+    and len(omega) (Q + m) exponentials in place of len(omega) len(values).
+    """
+    values = np.asarray(values, dtype=complex)
+    omega = np.asarray(omega, dtype=float)
+    m = int(np.ceil(np.sqrt(len(values))))
+    blocks = np.pad(values, (0, -len(values) % m)).reshape(-1, m)
+    inner = blocks @ np.exp(1j * step * np.outer(np.arange(m), omega))
+    outer = np.exp(1j * (m * step) * np.outer(np.arange(len(blocks)), omega))
+    return np.einsum("qw,qw->w", outer, inner)
 
 
 def van_loan_integral(a, k, dt: float) -> np.ndarray:

@@ -246,3 +246,15 @@ def test_ev_mode_sweep_row_equals_single_run(tmp_path):
     assert data[1, 0] == pytest.approx(25e-6, rel=1e-12)
     summary = json.loads((tmp_path / "one" / "dynamics.json").read_text())["summary"]
     assert data[1, 1] == summary["max_p_cavity_R"]
+
+
+def test_ev_mode_rerun_from_sidecar_reproduces_file(tmp_path):
+    first, again = tmp_path / "a", tmp_path / "b"
+    assert main(["dynamics", "--set", "gamma0_ev=2.677e-7", "--set", "kappa=152.8e-6",
+                 "--set", "gamma=2.677e-7", "--set", "t_points=201",
+                 "--set", "g=25e-6", "--out", str(first)]) == 0
+    assert main(["dynamics", "--config", str(first / "dynamics.json"),
+                 "--out", str(again)]) == 0
+    assert (first / "dynamics.csv").read_bytes() == (again / "dynamics.csv").read_bytes()
+    rerun = json.loads((again / "dynamics.json").read_text())["config"]
+    assert rerun["g"] == pytest.approx(25e-6 / 2.677e-7, rel=1e-12)

@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import constants as sc
 
+from epqed import master
 from epqed.errors import (DivergenceError, FitError, TruncationError,
                           UndefinedPurcellError)
-from epqed.hilbert import SpaceLayout
+from epqed.hilbert import SpaceLayout, cavity_ops, product_ket
 from epqed.ldos import (FitResult, SpectrumSeries, chi_dp, chi_ep, delay_check,
                         enhancement_eta, fit_lorentzian, gamma_free,
                         load_spectrum_csv, lorentzian_model,
                         numerical_spectral_density, purcell_factor,
                         spectral_density, transparency_detuning)
+from epqed.numerics import uniform_fourier_sum
 from epqed.params import ModelParams
 
 P0 = ModelParams(g=1.0, kappa=20.0, gamma=1.0)
@@ -218,6 +220,48 @@ def test_numerical_symmetric_at_zero_phase():
     w = np.linspace(-30.0, 30.0, 121)
     series = numerical_spectral_density(p, SpaceLayout(0, 2), w)
     assert_allclose(series.value, series.value[::-1], atol=1e-8)
+
+
+def four_correlator_j(p, layout, omega, tau_max, tau_step):
+    """J from the four correlators <c_i^dag(0) c_j(tau)> and a direct transform."""
+    tau = np.linspace(0.0, tau_max, int(np.round(tau_max / tau_step)) + 1)
+    lv = master.build_liouvillian(p, layout)
+    c_l, c_r = cavity_ops(layout)
+    rho_l = master.DensityMatrix.from_ket(product_ket(layout, (), 1, 0))
+    rho_r = master.DensityMatrix.from_ket(product_ket(layout, (), 0, 1))
+    c_ll = master.two_time_correlation(lv, rho_l, c_l.conj().T, c_l, tau)
+    c_lr = master.two_time_correlation(lv, rho_l, c_l.conj().T, c_r, tau)
+    c_rr = master.two_time_correlation(lv, rho_r, c_r.conj().T, c_r, tau)
+    c_rl = master.two_time_correlation(lv, rho_r, c_r.conj().T, c_l, tau)
+    phase = np.exp(-2j * p.phi_azim_list()[0])
+    weighted = (c_ll + c_rr + phase * c_lr + np.conj(phase) * c_rl) * (tau[1] - tau[0])
+    weighted[[0, -1]] *= 0.5
+    return (p.g**2 / np.pi) * np.real(np.exp(1j * np.outer(omega - p.omega_c, tau)) @ weighted)
+
+
+@given(dphi=st.floats(-np.pi, np.pi), r_abs=st.floats(0.0, 1.0),
+       phi_azim=st.floats(-np.pi, np.pi), kappa=st.floats(1.0, 50.0))
+@settings(max_examples=25, deadline=None)
+def test_one_correlator_matches_four_correlator_sum(dphi, r_abs, phi_azim, kappa):
+    p = ModelParams.from_delta_phi(dphi, g=1.0, kappa=kappa, gamma=1.0, r_abs=r_abs,
+                                   phi_azim=phi_azim)
+    w = np.linspace(-3 * kappa, 3 * kappa, 61)
+    tau_max, tau_step = 60.0 / kappa, 0.01 / kappa   # a window long enough for every |r|
+    ref = four_correlator_j(p, SpaceLayout(0, 2), w, tau_max, tau_step)
+    j = numerical_spectral_density(p, SpaceLayout(0, 2), w, tau_max, tau_step).value
+    assert np.abs(j - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5000), n_omega=st.integers(1, 300),
+       step=st.floats(1e-4, 0.1))
+@settings(max_examples=40, deadline=None)
+def test_factored_fourier_sum_matches_direct_sum(seed, n, n_omega, step):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    omega = np.sort(rng.uniform(-60.0, 60.0, n_omega))   # not uniform
+    direct = np.exp(1j * np.outer(omega, step * np.arange(n))) @ values
+    assert_allclose(uniform_fourier_sum(values, step, omega), direct,
+                    rtol=0, atol=1e-12 * np.abs(values).sum())
 
 
 def test_numerical_requires_cavity_only_layout():

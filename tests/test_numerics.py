@@ -7,13 +7,26 @@ from numpy.testing import assert_allclose
 from epqed.dynamics import amplitude_evolve, excited_qubit_state
 from epqed.hilbert import SpaceLayout
 from epqed.master import build_liouvillian, vacuum_state, vectorize
-from epqed.numerics import DENSE_EXPM_MAX_DIM, distinct_steps, propagate
+from epqed.numerics import DENSE_EXPM_MAX_DIM, distinct_steps, propagate, uniform_powers
 from epqed.params import DriveSpec, ModelParams
 from epqed.spectra import coupling_matrix
 
 
 def expm_oracle(a, x0, t_grid):
     return np.array([scipy.linalg.expm(a * (t - t_grid[0])) @ x0 for t in t_grid])
+
+
+def loop_oracle(step_map, x0, n):
+    """The per-interval loop: one matrix-vector product per sample."""
+    out = [np.asarray(x0, dtype=complex)]
+    for _ in range(n - 1):
+        out.append(step_map @ out[-1])
+    return np.array(out)
+
+
+def decaying_generator(rng, dim):
+    a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(dim)
+    return a - (np.abs(np.linalg.eigvals(a).real).max() + 0.1) * np.eye(dim)
 
 
 grids = st.one_of(
@@ -50,6 +63,57 @@ def test_propagate_is_exact_at_the_chiral_ep(kappa, phi, t_grid):
     # square-Lorentzian precursor: the fed mode grows as kappa t e^{-kappa t/2}
     tau = t_grid - t_grid[0]
     assert_allclose(np.abs(out[:, 1]), kappa * tau * np.exp(-kappa * tau / 2), atol=1e-10)
+
+
+# lengths of uniform grids: the smallest, whole blocks of m = ceil(sqrt(n)) and one off
+uniform_lengths = st.one_of(
+    st.sampled_from([2, 3]),
+    st.integers(2, 60).flatmap(lambda m: st.sampled_from([m * m - 1, m * m, m * m + 1])),
+    st.integers(4, 4000),
+)
+
+
+def check_uniform_grid(a, x0, t_grid):
+    out = propagate(a, x0, t_grid)
+    step_map = scipy.linalg.expm(a * (t_grid[1] - t_grid[0]))
+    assert_allclose(out, loop_oracle(step_map, x0, len(t_grid)), rtol=1e-10, atol=1e-10)
+    sub = np.unique(np.r_[0:len(t_grid):max(1, len(t_grid) // 20), len(t_grid) - 1])
+    assert_allclose(out[sub], expm_oracle(a, x0, t_grid[sub]), rtol=1e-10, atol=1e-10)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), n=uniform_lengths,
+       t1=st.floats(0.1, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_blocked_uniform_grid_matches_loop_and_expm(seed, dim, n, t1):
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    check_uniform_grid(decaying_generator(rng, dim), x0, np.linspace(0.0, t1, n))
+
+
+@given(kappa=st.floats(0.5, 50.0), phi_azim=st.floats(-np.pi, np.pi), n=uniform_lengths,
+       t1=st.floats(0.1, 3.0))
+@settings(max_examples=20, deadline=None)
+def test_blocked_uniform_grid_at_the_chiral_ep(kappa, phi_azim, n, t1):
+    # |r| = 1, delta_phi = 0: the 3x3 M holds a 2x2 Jordan block at g = 0, and
+    # the 16-dim Liouvillian of the cavity at Fock cutoff 2 is defective too
+    p = ModelParams.from_delta_phi(0.0, g=0.0, kappa=kappa, gamma=1.0, phi_azim=phi_azim)
+    t_grid = np.linspace(0.0, t1, n)
+    check_uniform_grid(-1j * coupling_matrix(p, 1), np.array([1.0, 0.0, 0.0]), t_grid)
+    lay = SpaceLayout(0, 2)
+    lv = build_liouvillian(p, lay)
+    assert lv.matrix.shape == (16, 16)
+    x0 = vectorize(np.outer(np.eye(4)[1] + np.eye(4)[2], np.eye(4)[0]))   # a QRT source
+    check_uniform_grid(lv.matrix, x0, t_grid)
+
+
+def test_uniform_powers_block_edges():
+    a = decaying_generator(np.random.default_rng(7), 5)
+    step_map = scipy.linalg.expm(a * 0.01)
+    x0 = np.arange(1.0, 6.0)
+    for n in (1, 2, 3, 15, 16, 17):
+        out = uniform_powers(step_map, x0, n)
+        assert out.shape == (n, 5) and out.flags.c_contiguous
+        assert_allclose(out, loop_oracle(step_map, x0, n), rtol=1e-13, atol=1e-13)
 
 
 def test_propagate_large_generator_uses_sparse_branch():
