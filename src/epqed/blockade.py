@@ -14,7 +14,7 @@ import numpy as np
 
 from . import master
 from .errors import EpqedError, StatisticsUndefinedError
-from .hilbert import SpaceLayout, cavity_ops, qubit_lowering
+from .hilbert import SpaceLayout, cavity_ops
 from .params import DriveSpec, ModelParams
 
 MIN_FOCK_CUTOFF = 4
@@ -91,14 +91,7 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
     base_drive = DriveSpec(omega_drive=params.omega_c + detuning_grid[0],
                            amplitude=drive.amplitude, target=drive.target)
     lv0 = master.build_liouvillian(params, layout, drive=base_drive)
-
-    # d L / d omega_d = +i (spre(N_exc) - spost(N_exc))
-    c_l, c_r = cavity_ops(layout)
-    n_exc = c_l.conj().T @ c_l + c_r.conj().T @ c_r
-    for i in range(layout.n_qubits):
-        sm = qubit_lowering(layout, i)
-        n_exc = n_exc + sm.conj().T @ sm
-    k_shift = 1j * (master.spre(n_exc) - master.spost(n_exc))
+    k_shift = detuning_derivative(layout)
 
     c_m = _measure_ops(layout, measure)
     results: list[BlockadeResult] = []
@@ -118,6 +111,15 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
     max_det, max_nl = _interp_extremum(detuning_grid, nl_vals, kind="max")
     return BlockadeSweep(results=results, min_g2=min_g2, min_g2_detuning=min_det,
                          max_n_L=max_nl, max_n_L_detuning=max_det, errors=errors)
+
+
+def detuning_derivative(layout: SpaceLayout):
+    """d L / d omega_d = i (spre(N) - spost(N)) for the excitation number N, the sum of
+    the slot levels: the CSR diagonal i (N_a - N_b) at entry a + n b of vec(rho)."""
+    import scipy.sparse
+
+    n_exc = np.indices(layout.subsystem_dims).sum(axis=0).ravel()
+    return scipy.sparse.diags(1j * (n_exc[None, :] - n_exc[:, None]).ravel(), format="csr")
 
 
 def _interp_extremum(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, float]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import constants as sc
 
 from . import master
 from .errors import (DivergenceError, FitError, TruncationError,
@@ -24,8 +23,14 @@ from .hilbert import SpaceLayout, cavity_ops, identity, product_ket
 from .numerics import uniform_fourier_sum
 from .params import ModelParams
 
-HBAR_EVS = sc.hbar / sc.e  # hbar in eV*s
-DEBYE = 1e-21 / sc.c       # C*m per Debye
+# SI constants (scipy.constants' values; only eps0 is not exact), so importing needs no scipy
+E_CHARGE = 1.602176634e-19           # C
+HBAR = 6.62607015e-34 / (2 * np.pi)  # J*s
+C_LIGHT = 299792458.0                # m/s
+EPSILON_0 = 8.8541878188e-12         # F/m
+HBAR_EVS = HBAR / E_CHARGE  # hbar in eV*s
+DEBYE = 1e-21 / C_LIGHT     # C*m per Debye
+TAIL_TOL = 1e-7             # neglected correlator tail, relative to J's scale 4/(pi kappa)
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,8 @@ def gamma_free(mu_debye: float, omega0_ev: float, n_b: float,
     if mu_debye <= 0 or omega0_ev <= 0 or n_b <= 0:
         raise ValueError("mu, omega0 and n_b must be positive")
     mu = mu_debye * DEBYE
-    w0 = omega0_ev * sc.e / sc.hbar
-    rate = mu**2 * w0**3 * n_b / (3.0 * np.pi * sc.hbar * sc.epsilon_0 * sc.c**3)
+    w0 = omega0_ev * E_CHARGE / HBAR
+    rate = mu**2 * w0**3 * n_b / (3.0 * np.pi * HBAR * EPSILON_0 * C_LIGHT**3)
     rate_ev = rate * HBAR_EVS
     return rate_ev if gamma0_ev is None else rate_ev / gamma0_ev
 
@@ -169,23 +174,21 @@ def numerical_spectral_density(params: ModelParams, layout: SpaceLayout,
         tau_max = 40.0 / params.kappa
     if tau_step is None:
         tau_step = 0.002 / params.kappa
-    n_tau = int(np.round(tau_max / tau_step)) + 1
-    tau = np.linspace(0.0, tau_max, n_tau)
+    tau = np.linspace(0.0, tau_max, int(np.round(tau_max / tau_step)) + 1)
 
     lv = master.build_liouvillian(params, layout)  # rotating frame at omega_c
     c_l, c_r = cavity_ops(layout)
-    rho_l = master.DensityMatrix.from_ket(product_ket(layout, (), 1, 0))
-    rho_r = master.DensityMatrix.from_ket(product_ket(layout, (), 0, 1))
-
     phase = np.exp(-2j * params.phi_azim_list()[0])
-    source = rho_l.entries @ c_l.conj().T + np.conj(phase) * (rho_r.entries @ c_r.conj().T)
+    # rho_L c_L^dag + e^{2i phi_azim} rho_R c_R^dag = (|1,0> + e^{2i phi_azim} |0,1>) <0,0|
+    ket = product_ket(layout, (), 1, 0) + np.conj(phase) * product_ket(layout, (), 0, 1)
+    source = np.outer(ket, product_ket(layout, ()))
     corr = master.two_time_correlation(lv, source, identity(layout.dim), c_l + phase * c_r, tau)
 
-    # neglected-tail bound on the integral, per unit g^2
-    tail = abs(corr[-1]) * (2.0 / (np.pi * params.kappa))
-    if tail > 1e-8:
-        raise TruncationError(
-            f"correlator tail bound {tail:.3e} > 1e-8; increase tau_max ({tau_max:g})")
+    # neglected tail |C(tau_max)| 2/(pi kappa) of the integral per unit g^2, over 4/(pi kappa)
+    tail = 0.5 * abs(corr[-1])
+    if tail > TAIL_TOL:
+        raise TruncationError(f"correlator tail bound {tail:.3e} > {TAIL_TOL:g} of J's scale "
+                              f"4/(pi kappa); increase tau_max ({tau_max:g})")
 
     weighted = corr * (tau[1] - tau[0])   # trapezoid weights
     weighted[[0, -1]] *= 0.5

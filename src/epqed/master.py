@@ -1,15 +1,18 @@
 """Liouvillian of the extended cascaded master equation and its solvers.
 
-The equation of motion contains the usual Jaynes-Cummings pieces (qubit(s)
-coupled to both CCW modes with position phases e^{-+i phi_i}), independent
-decay channels gamma L[sm_i], kappa L[c_L], kappa L[c_R], and the
-unidirectional mirror-mediated term
+H holds the Jaynes-Cummings couplings of the qubit(s) to both CCW modes
+(position phases e^{-+i phi_i}) and the optional drive.  With decay
+gamma L[sm_i], kappa L[c_L], kappa L[c_R] and the unidirectional mirror-mediated
+term kappa |r| (e^{i phi} [c_L rho, c_R^dag] + e^{-i phi} [c_R, rho c_L^dag]),
+which feeds the left mode's output into the right mode without backaction,
+the equation reads drho/dt = K rho + rho K^dag + sum w A rho B^dag with
 
-    kappa |r| ( e^{i phi} [c_L rho, c_R^dag] + e^{-i phi} [c_R, rho c_L^dag] )
+    K = -iH - [kappa (n_L + n_R) + gamma sum_i sm_i^dag sm_i]/2 - kappa |r| e^{i phi} c_R^dag c_L
 
-which feeds the left mode's output into the right mode without backaction.
-
-Vectorization is column-stacking throughout: vec(A rho B) = (B^T kron A) vec(rho).
+and the jump pairs (A, B, w): (c_L, c_L, kappa), (c_R, c_R, kappa), (sm_i, sm_i, gamma),
+(c_L, c_R, kappa |r| e^{i phi}) and (c_R, c_L, kappa |r| e^{-i phi}).  Vectorization
+is column-stacking, vec(A rho B) = (B^T kron A) vec(rho), so the generator is
+L = I kron K + conj(K) kron I + sum w conj(B) kron A, assembled in one pass.
 Undriven problems are generated in the frame rotating at omega_c; driven ones
 in the frame rotating at the drive frequency, so the superoperator is always
 time independent.
@@ -47,38 +50,41 @@ def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape(dim, dim, order="F")
 
 
-def _csr(a):
+def _kron_sum(terms, n: int):
+    """CSR sum of w kron(b, a) over (w, b, a) from the nonzeros of dense n x n b and a:
+    b_ij a_kl lands at (i n + k, j n + l), duplicates are summed, exact zeros dropped."""
     import scipy.sparse   # imported on use, to keep `import epqed` light
 
-    return scipy.sparse.csr_matrix(a, dtype=complex)
+    parts = []
+    for w, b, a in terms:
+        (bi, bj), (ai, aj) = np.nonzero(b), np.nonzero(a)
+        parts.append((np.multiply.outer(w * b[bi, bj], a[ai, aj]),
+                      np.add.outer(bi * n, ai), np.add.outer(bj * n, aj)))
+    data, rows, cols = (np.concatenate([p[k].ravel() for p in parts]) for k in range(3))
+    out = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n * n, n * n), dtype=complex)
+    out.eliminate_zeros()
+    return out
 
 
 def sprepost(a, b):
     """Superoperator of two-sided multiplication, vec(a rho b) = kron(b^T, a) vec(rho), CSR."""
-    import scipy.sparse
-
-    return scipy.sparse.kron(_csr(b).T, _csr(a), format="csr")
+    return _kron_sum([(1.0, b.T, a)], a.shape[0])
 
 
 def spre(a):
     """Superoperator of left multiplication: vec(a rho), CSR."""
-    import scipy.sparse
-
-    return sprepost(a, scipy.sparse.identity(a.shape[0], dtype=complex))
+    return sprepost(a, np.eye(a.shape[0]))
 
 
 def spost(b):
     """Superoperator of right multiplication: vec(rho b), CSR."""
-    import scipy.sparse
-
-    return sprepost(scipy.sparse.identity(b.shape[0], dtype=complex), b)
+    return sprepost(np.eye(b.shape[0]), b)
 
 
 def lindblad_dissipator(op):
     """L[O]rho = O rho O^dag - {O^dag O, rho}/2 as a CSR superoperator."""
-    od = op.conj().T
-    odo = od @ op
-    return sprepost(op, od) - 0.5 * (spre(odo) + spost(odo))
+    odo, eye = op.conj().T @ op, np.eye(len(op))
+    return _kron_sum([(1.0, op.conj(), op), (-0.5, eye, odo), (-0.5, odo.T, eye)], len(op))
 
 
 def _require_dense_fits(n: int, what: str):
@@ -153,10 +159,6 @@ class Liouvillian:
     drive: DriveSpec | None
     frame: float
 
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense copy of the generator, made on first access (for dense oracles)."""
@@ -180,43 +182,36 @@ def build_liouvillian(params: ModelParams, layout: SpaceLayout,
         frame = drive.omega_drive if drive is not None else params.omega_c
 
     c_l, c_r = hilbert.cavity_ops(layout)
-    n_l = c_l.conj().T @ c_l
-    n_r = c_r.conj().T @ c_r
-
-    h = (params.omega_c - frame) * (n_l + n_r)
-    lmat = _csr((layout.dim**2, layout.dim**2))
-    if n > 0:
-        omega0 = params.omega0_list(n)
-        phi = params.phi_azim_list(n)
-        for i in range(n):
-            sm = hilbert.qubit_lowering(layout, i)
-            sp = sm.conj().T
-            h = h + (omega0[i] - frame) * (sp @ sm)
-            h = h + params.g * (np.exp(-1j * phi[i]) * (c_l.conj().T @ sm)
-                                + np.exp(1j * phi[i]) * (sp @ c_l))
-            h = h + params.g * (np.exp(1j * phi[i]) * (c_r.conj().T @ sm)
-                                + np.exp(-1j * phi[i]) * (sp @ c_r))
-            lmat += params.gamma * lindblad_dissipator(sm)
+    h = (params.omega_c - frame) * (c_l.conj().T @ c_l + c_r.conj().T @ c_r)
+    jumps = [(params.kappa, c_l, c_l), (params.kappa, c_r, c_r)]   # (w, A, B): w A rho B^dag
+    omega0, phi = params.omega0_list(n), params.phi_azim_list(n)
+    for i in range(n):
+        sm = hilbert.qubit_lowering(layout, i)
+        h = h + (omega0[i] - frame) * (sm.conj().T @ sm)
+        for c, ph in ((c_l, np.exp(-1j * phi[i])), (c_r, np.exp(1j * phi[i]))):
+            h = h + params.g * (ph * (c.conj().T @ sm) + np.conj(ph) * (sm.conj().T @ c))
+        jumps.append((params.gamma, sm, sm))
     if drive is not None:
         c_d = c_l if drive.target == "cavity_L" else c_r
         h = h + drive.amplitude * (c_d + c_d.conj().T)
 
-    lmat += -1j * (spre(h) - spost(h))
-    lmat += params.kappa * (lindblad_dissipator(c_l) + lindblad_dissipator(c_r))
-
+    k = -1j * h - 0.5 * sum(w * (a.conj().T @ a) for w, a, _ in jumps)
     if params.r_abs > 0.0 and params.kappa > 0.0:
-        ph = np.exp(1j * params.phi_prop)
-        k_r = params.kappa * params.r_abs
-        lmat += k_r * ph * (sprepost(c_l, c_r.conj().T) - spre(c_r.conj().T @ c_l))
-        lmat += k_r * np.conj(ph) * (sprepost(c_r, c_l.conj().T) - spost(c_l.conj().T @ c_r))
-
-    return Liouvillian(generator=lmat, layout=layout, params=params, drive=drive,
-                       frame=frame)
+        k_r = params.kappa * params.r_abs * np.exp(1j * params.phi_prop)
+        k = k - k_r * (c_r.conj().T @ c_l)
+        jumps += [(k_r, c_l, c_r), (np.conj(k_r), c_r, c_l)]
+    eye = np.eye(layout.dim)
+    lmat = _kron_sum([(1.0, eye, k), (1.0, k.conj(), eye)]
+                     + [(w, b.conj(), a) for w, a, b in jumps if w != 0], layout.dim)
+    return Liouvillian(generator=lmat, layout=layout, params=params, drive=drive, frame=frame)
 
 
 def _generator(lv):
     """The CSR generator of a Liouvillian, or a dense or sparse matrix as CSR."""
-    return lv.generator if isinstance(lv, Liouvillian) else _csr(lv)
+    import scipy.sparse
+
+    return (lv.generator if isinstance(lv, Liouvillian)
+            else scipy.sparse.csr_matrix(lv, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

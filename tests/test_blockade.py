@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from epqed.blockade import (BlockadeResult, critical_coupling, g2_sweep,
-                            g2_zero)
+from epqed import master
+from epqed.blockade import (BlockadeResult, critical_coupling, detuning_derivative,
+                            g2_sweep, g2_zero)
 from epqed.errors import StatisticsUndefinedError
-from epqed.hilbert import SpaceLayout
+from epqed.hilbert import SpaceLayout, cavity_ops, qubit_lowering
 from epqed.params import DriveSpec, ModelParams
 
 LAYOUT = SpaceLayout(1, 4)
@@ -136,3 +137,32 @@ def test_fock_cutoff_robustness():
 def test_result_fields():
     res = BlockadeResult(detuning=0.5, g2=0.1, n_L=1e-3)
     assert res.detuning == 0.5
+
+
+layouts = st.builds(SpaceLayout, st.integers(0, 2), st.integers(2, 5))
+
+
+@given(lay=layouts)
+@settings(max_examples=20, deadline=None)
+def test_detuning_derivative_equals_two_kron_form(lay):
+    c_l, c_r = cavity_ops(lay)
+    n_exc = c_l.conj().T @ c_l + c_r.conj().T @ c_r
+    for sm in (qubit_lowering(lay, i) for i in range(lay.n_qubits)):
+        n_exc = n_exc + sm.conj().T @ sm
+    # the operator products carry rounding (sqrt(3)^2 != 3); the excitation number does not
+    n_int = np.diag(np.round(np.diagonal(n_exc).real))
+    assert np.abs(n_exc - n_int).max() <= 1e-14
+    ref = 1j * (master.spre(n_int) - master.spost(n_int))
+    deriv = detuning_derivative(lay)
+    assert deriv.format == "csr" and (deriv != ref).nnz == 0
+
+
+@given(lay=layouts, det=st.floats(-20.0, 20.0), shift=st.floats(-20.0, 20.0),
+       r_abs=st.floats(0.0, 1.0), phi=st.floats(-np.pi, np.pi))
+@settings(max_examples=20, deadline=None)
+def test_detuning_derivative_is_the_frame_derivative(lay, det, shift, r_abs, phi):
+    # the sweep's affine step from one drive frequency to another is exact
+    p = ModelParams(g=3.0, kappa=10.0, gamma=1.0, r_abs=r_abs, phi_prop=phi, omega0=0.4)
+    gen = [master.build_liouvillian(p, lay, drive=drive(d)).generator for d in (det, det + shift)]
+    diff = (gen[1] - gen[0] - shift * detuning_derivative(lay)).toarray()
+    assert np.abs(diff).max() <= 1e-13 * (1.0 + abs(det) + abs(shift))

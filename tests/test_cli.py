@@ -129,6 +129,16 @@ def test_numerical_failure_exit_code(tmp_path):
     assert main(["fit", "--input", str(flat), "--out", str(tmp_path)]) == 3
 
 
+def test_numerical_ldos_at_small_kappa(tmp_path):
+    # the default window 40/kappa passes the tail bound at the chiral EP below kappa = 5
+    assert main(["ldos", "--set", "ldos_method=numerical", "--kappa", "3",
+                 "--out", str(tmp_path)]) == 0
+    header, data = read_csv(tmp_path / "ldos.csv")
+    j = data[:, header.index("J[gamma0]")]
+    ref = data[:, header.index("J_analytic[gamma0]")]
+    assert np.abs(j - ref).max() <= 1e-4 * np.abs(ref).max()
+
+
 def test_reproduce_unknown_figure_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "fig99"])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import constants as sc
 
-from epqed import master
+from epqed import ldos, master
 from epqed.errors import (DivergenceError, FitError, TruncationError,
                           UndefinedPurcellError)
 from epqed.hilbert import SpaceLayout, cavity_ops, product_ket
@@ -183,6 +188,22 @@ def test_gamma_free_scalings():
     assert gamma_free(30, 0.8, 1.5e-6) == pytest.approx(base * 1e-6, rel=1e-9)
 
 
+def test_si_literals_match_scipy_constants():
+    assert ldos.E_CHARGE == pytest.approx(sc.e, rel=1e-12)
+    assert ldos.HBAR == pytest.approx(sc.hbar, rel=1e-12)
+    assert ldos.C_LIGHT == pytest.approx(sc.c, rel=1e-12)
+    assert ldos.EPSILON_0 == pytest.approx(sc.epsilon_0, rel=1e-12)
+    assert ldos.HBAR_EVS == pytest.approx(sc.hbar / sc.e, rel=1e-12)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, epqed; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(Path(ldos.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_delay_check_cases():
     # rates in eV; mu-scale cavity: g = 1 meV near the validity boundary
     p = ModelParams(g=1e-3, kappa=152.8e-6, gamma=2.7e-7)
@@ -267,6 +288,28 @@ def test_factored_fourier_sum_matches_direct_sum(seed, n, n_omega, step):
 def test_numerical_requires_cavity_only_layout():
     with pytest.raises(ValueError):
         numerical_spectral_density(P0, SpaceLayout(1, 2), np.linspace(-1, 1, 5))
+
+
+@given(kappa=st.floats(1.0, 20.0), r_abs=st.sampled_from([0.0, 1.0]),
+       dphi=st.floats(-np.pi, np.pi))
+@settings(max_examples=20, deadline=None)
+def test_default_window_passes_tail_bound(kappa, r_abs, dphi):
+    p = ep_params(dphi, kappa=kappa, r_abs=r_abs)
+    w = np.linspace(-3 * kappa, 3 * kappa, 61)
+    ref = spectral_density(w, p)
+    j = numerical_spectral_density(p, SpaceLayout(0, 2), w).value
+    assert np.abs(j - ref).max() <= 1e-4 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kappa_tau", [30.0, 34.0, 36.0, 37.0])
+def test_tail_bound_at_kappa_20_no_looser_than_absolute(kappa_tau):
+    # |r| = 1, delta_phi = 0: |C(tau)| = |2 - kappa tau| e^{-kappa tau/2}.  Each window
+    # fails the absolute bound |C| 2/(pi kappa) <= 1e-8 per unit g^2, so it must raise.
+    p = ep_params(0.0)
+    assert abs(2.0 - kappa_tau) * np.exp(-kappa_tau / 2.0) * 2.0 / (np.pi * p.kappa) > 1e-8
+    with pytest.raises(TruncationError):
+        numerical_spectral_density(p, SpaceLayout(0, 2), np.linspace(-1, 1, 5),
+                                   tau_max=kappa_tau / p.kappa)
 
 
 def test_short_window_raises_truncation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -321,8 +322,8 @@ def test_evolution_drift_diagnostics():
 # sparse generator and steady state against dense references
 # ---------------------------------------------------------------------------
 
-def dense_reference_liouvillian(p, lay, drive):
-    """L from dense np.kron products, term by term as build_liouvillian writes it."""
+def dense_reference_liouvillian(p, lay, drive, frame=None):
+    """L from dense np.kron products, term by term as the cascaded master equation reads."""
     eye = np.eye(lay.dim)
 
     def pre(a):
@@ -336,7 +337,8 @@ def dense_reference_liouvillian(p, lay, drive):
         return np.kron(o.conj(), o) - 0.5 * (pre(odo) + post(odo))
 
     c_l, c_r = cavity_ops(lay)
-    frame = drive.omega_drive
+    if frame is None:
+        frame = drive.omega_drive if drive is not None else p.omega_c
     h = (p.omega_c - frame) * (c_l.conj().T @ c_l + c_r.conj().T @ c_r)
     lmat = np.zeros((lay.dim**2, lay.dim**2), dtype=complex)
     for i in range(lay.n_qubits):
@@ -346,8 +348,9 @@ def dense_reference_liouvillian(p, lay, drive):
         for c, ph in ((c_l, np.exp(-1j * phi)), (c_r, np.exp(1j * phi))):
             h = h + p.g * (ph * (c.conj().T @ sm) + np.conj(ph) * (sm.conj().T @ c))
         lmat += p.gamma * dissipator(sm)
-    c_d = c_l if drive.target == "cavity_L" else c_r
-    h = h + drive.amplitude * (c_d + c_d.conj().T)
+    if drive is not None:
+        c_d = c_l if drive.target == "cavity_L" else c_r
+        h = h + drive.amplitude * (c_d + c_d.conj().T)
     lmat += -1j * (pre(h) - post(h))
     lmat += p.kappa * (dissipator(c_l) + dissipator(c_r))
     k_r = p.kappa * p.r_abs * np.exp(1j * p.phi_prop)
@@ -368,14 +371,39 @@ random_models = st.builds(
     st.floats(0.0, 2.0), st.sampled_from(["cavity_L", "cavity_R"]))
 
 
-@given(model=random_models)
-@settings(max_examples=40, deadline=None)
+# random_models, also undriven, in an explicit frame, and with kappa = 0 at |r| > 0
+generator_models = st.builds(
+    lambda model, zero_kappa, undriven, frame: (
+        model[0], model[1].replace(kappa=0.0) if zero_kappa else model[1],
+        None if undriven else model[2], frame),
+    random_models, st.booleans(), st.booleans(), st.none() | st.floats(-10.0, 10.0))
+
+
+@given(model=generator_models)
+@settings(max_examples=60, deadline=None)
 def test_sparse_liouvillian_matches_dense_kron_reference(model):
-    lay, p, drive = model
-    lv = build_liouvillian(p, lay, drive=drive)
+    lay, p, drive, frame = model
+    lv = build_liouvillian(p, lay, drive=drive, frame=frame)
     assert scipy.sparse.isspmatrix_csr(lv.generator)
-    ref = dense_reference_liouvillian(p, lay, drive)
+    ref = dense_reference_liouvillian(p, lay, drive, frame)
     assert np.abs(lv.generator.toarray() - ref).max() <= 1e-13
+    assert lv.generator.nnz <= np.count_nonzero(ref)
+
+
+@given(model=generator_models, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_generator_preserves_trace_and_hermiticity(model, seed):
+    lay, p, drive, frame = model
+    lmat = build_liouvillian(p, lay, drive=drive, frame=frame).generator
+    norm = scipy.sparse.linalg.norm(lmat)
+    # d Tr(rho)/dt = 0: the rows of the diagonal entries rho_ii sum to zero
+    trace_rows = np.arange(lay.dim) * (lay.dim + 1)
+    assert np.abs(lmat[trace_rows].sum(axis=0)).max() <= 1e-13 * norm
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((lay.dim, lay.dim)) + 1j * rng.standard_normal((lay.dim, lay.dim))
+    x = x + x.conj().T
+    out = unvectorize(lmat @ vectorize(x), lay.dim)
+    assert np.abs(out - out.conj().T).max() <= 1e-13 * norm * np.abs(x).max()
 
 
 @given(model=random_models)
