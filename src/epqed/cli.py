@@ -254,10 +254,20 @@ def _blockade_drive(cfg: dict, detuning: float) -> DriveSpec:
                      amplitude=cfg["drive_amplitude"], target=cfg["drive_target"])
 
 
+def _blockade_layout(cfg: dict) -> SpaceLayout:
+    return SpaceLayout(1, cfg["fock_cutoff"])
+
+
+def _solved_basis(cfg: dict) -> dict:
+    """The basis a blockade run solves in, by blockade.solve_layout's rule."""
+    lay = blockade.solve_layout(_blockade_layout(cfg))
+    return {"fock_cutoff": lay.fock_cutoff, "max_excitations": lay.max_excitations,
+            "dim": lay.dim}
+
+
 def _exp_blockade(cfg: dict):
     p = params_from_config(cfg)
-    layout = SpaceLayout(1, cfg["fock_cutoff"])
-    res = blockade.g2_zero(p, _blockade_drive(cfg, cfg["detuning"]), layout,
+    res = blockade.g2_zero(p, _blockade_drive(cfg, cfg["detuning"]), _blockade_layout(cfg),
                            measure=cfg["measure"])
     cols = {"detuning": np.array([res.detuning]), "g2": np.array([res.g2]),
             "n_L": np.array([res.n_L])}
@@ -316,7 +326,7 @@ def _generic_sweep(experiment: str, cfg: dict, name: str, values: np.ndarray):
 
 def _blockade_sweep(cfg: dict, values: np.ndarray):
     res = blockade.g2_sweep(params_from_config(cfg), _blockade_drive(cfg, 0.0),
-                            values, SpaceLayout(1, cfg["fock_cutoff"]),
+                            values, _blockade_layout(cfg),
                             measure=cfg["measure"])
     rows = [{"g2": r.g2, "n_L": r.n_L} for r in res.results]
     summary = {"min_g2": res.min_g2, "min_g2_detuning": res.min_g2_detuning,
@@ -401,10 +411,10 @@ def _jsonable(obj):
 
 
 def write_sidecar(path: Path, experiment: str, cfg: dict, outputs: list[str],
-                  summary: dict, sweep=None, errors=None):
+                  summary: dict, sweep=None, errors=None, extra=None):
     payload = {"tool": "epqed", "version": __version__, "experiment": experiment,
                "config": _jsonable(cfg), "outputs": outputs,
-               "summary": _jsonable(summary)}
+               "summary": _jsonable(summary), **(extra or {})}
     if sweep is not None:
         name, start, stop, count = sweep
         payload["sweep"] = f"{name}={float(start)!r}:{float(stop)!r}:{count}"
@@ -419,9 +429,14 @@ def write_sidecar(path: Path, experiment: str, cfg: dict, outputs: list[str],
 def run(experiment: str, cfg: dict, sweep=None,
         out_dir: Path = Path(".")) -> tuple[dict, list]:
     """Execute one experiment or sweep; returns the summary written to the
-    sidecar and the failed sweep points as [value, "TypeName: message"]."""
+    sidecar and the failed sweep points as [value, "TypeName: message"].
+
+    A blockade sidecar also records the basis solved in as `basis`
+    {fock_cutoff, max_excitations, dim}; for a sweep over fock_cutoff it is a
+    list with one entry per point (null where SpaceLayout rejects the cutoff).
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    errors = []
+    errors, extra = [], {}
     if sweep is None:
         tables, summary = EXPERIMENTS[experiment](cfg)
     else:
@@ -438,6 +453,10 @@ def run(experiment: str, cfg: dict, sweep=None,
         else:
             rows, summary, errors = _generic_sweep(experiment, cfg, name, values)
         tables = {experiment: _sweep_columns(name, values, rows)}
+    if experiment == "blockade":
+        extra["basis"] = (
+            _each_point(values, lambda v: _solved_basis(_point_config(cfg, name, v)))[0]
+            if sweep is not None and name == "fock_cutoff" else _solved_basis(cfg))
 
     outputs = []
     for stem, columns in tables.items():
@@ -445,7 +464,7 @@ def run(experiment: str, cfg: dict, sweep=None,
         write_csv(path, columns, cfg, experiment)
         outputs.append(path.name)
     sidecar = out_dir / f"{experiment}.json"
-    write_sidecar(sidecar, experiment, cfg, outputs, summary, sweep, errors)
+    write_sidecar(sidecar, experiment, cfg, outputs, summary, sweep, errors, extra)
     return summary, errors
 
 

@@ -1,15 +1,18 @@
 """Operator algebra on the composite space (qubits (x) two bosonic modes).
 
 Operators are dense complex N x N matrices: N is at most a few hundred
-(2^2 * 5^2 = 100 for two emitters at Fock cutoff 5, 128 for one at cutoff
-8).  The N^2 x N^2 superoperators built from them in `master` are sparse.  Basis conventions, fixed here
-once for all modules: qubit ground state is index 0, excited index 1; Fock
-states ascend 0..N-1; slot order is [qubit_1 .. qubit_n, cavity_L, cavity_R].
+(the Fock box holds 2^2 * 5^2 = 100 states for two emitters at Fock cutoff 5
+and 128 for one at cutoff 8; capped at K = cutoff total excitations they
+hold 59 and 79).  The N^2 x N^2 superoperators built from them in `master`
+are sparse.  Basis conventions, fixed here once for all modules: qubit
+ground state is index 0, excited index 1; Fock states ascend 0..N-1; slot
+order is [qubit_1 .. qubit_n, cavity_L, cavity_R], and a capped layout keeps
+the box states with N <= K in the same (row-major) order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -21,25 +24,54 @@ class SpaceLayout:
     """Composite-space layout: n qubits followed by the two cavity modes.
 
     n_qubits = 0 gives the cavity-only space used by the photonic
-    correlation functions.
+    correlation functions.  The basis is the Fock box (each mode holds
+    0..fock_cutoff-1 photons); max_excitations = K keeps only its states with
+    N <= K, where N counts the photons in both modes plus the excited qubits.
+    Every term of the Liouvillian conserves or lowers N except the drive, so
+    operators restricted to the kept states multiply as the box ones do.
     """
 
     n_qubits: int
     fock_cutoff: int
+    max_excitations: int | None = None
 
     def __post_init__(self):
         if self.n_qubits < 0:
             raise ValueError(f"n_qubits must be >= 0, got {self.n_qubits}")
         if self.fock_cutoff < 2:
             raise InvalidCutoffError(f"fock_cutoff must be >= 2, got {self.fock_cutoff}")
+        if self.max_excitations is not None and self.max_excitations < 1:
+            raise InvalidCutoffError(
+                f"max_excitations must be >= 1, got {self.max_excitations}")
 
     @property
     def subsystem_dims(self) -> tuple[int, ...]:
+        """Slot dimensions of the Fock box the basis is cut from."""
         return (2,) * self.n_qubits + (self.fock_cutoff, self.fock_cutoff)
+
+    @cached_property
+    def _box_excitations(self) -> np.ndarray:
+        return np.indices(self.subsystem_dims).sum(axis=0).ravel()
+
+    @cached_property
+    def _kept(self) -> np.ndarray | None:
+        """Box indices of the basis states, or None for the whole box."""
+        if self.max_excitations is None:
+            return None
+        return np.flatnonzero(self._box_excitations <= self.max_excitations)
+
+    @cached_property
+    def excitations(self) -> np.ndarray:
+        """Excitation number N of each basis state (read-only)."""
+        n_exc = self._box_excitations
+        if self._kept is not None:
+            n_exc = n_exc[self._kept]
+        n_exc.flags.writeable = False
+        return n_exc
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.subsystem_dims))
+        return int(np.prod(self.subsystem_dims)) if self._kept is None else len(self._kept)
 
     @property
     def n_slots(self) -> int:
@@ -89,12 +121,16 @@ def embed(op: np.ndarray, slot: int, layout: SpaceLayout) -> np.ndarray:
             f"operator shape {op.shape} does not match slot dimension {dims[slot]}"
         )
     factors = [op if k == slot else identity(d) for k, d in enumerate(dims)]
-    return reduce(np.kron, factors)
+    full, kept = reduce(np.kron, factors), layout._kept
+    return full if kept is None else full[np.ix_(kept, kept)]
 
 
 def product_ket(layout: SpaceLayout, qubit_levels: tuple[int, ...] = (),
                 n_left: int = 0, n_right: int = 0) -> np.ndarray:
-    """State vector |q1..qn, n_L, n_R> in the layout's basis ordering."""
+    """State vector |q1..qn, n_L, n_R> in the layout's basis ordering.
+
+    Raises ValueError for a level outside its slot or a state above the cap.
+    """
     levels = tuple(qubit_levels) + (n_left, n_right)
     dims = layout.subsystem_dims
     if len(levels) != layout.n_slots:
@@ -106,7 +142,11 @@ def product_ket(layout: SpaceLayout, qubit_levels: tuple[int, ...] = (),
         v = np.zeros(d, dtype=complex)
         v[lvl] = 1.0
         vecs.append(v)
-    return reduce(np.kron, vecs)
+    if layout.max_excitations is not None and sum(levels) > layout.max_excitations:
+        raise ValueError(f"state with {sum(levels)} excitations lies outside the cap "
+                         f"max_excitations = {layout.max_excitations}")
+    ket = reduce(np.kron, vecs)
+    return ket if layout._kept is None else ket[layout._kept]
 
 
 def expect(op: np.ndarray, rho: np.ndarray) -> complex:

@@ -20,7 +20,7 @@ time independent.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -266,54 +266,89 @@ def evolve(lv, rho0, t_grid, step: float | None = None) -> EvolutionResult:
 # steady state
 # ---------------------------------------------------------------------------
 
-def steady_state(lv, kernel_tol: float = 1e-8) -> DensityMatrix:
-    """Solve L vec(rho) = 0 with Tr(rho) = 1 by one sparse LU.
+class SteadyStateSolver:
+    """Steady states of L + s diag(d) for one generator L, one diagonal d and shifts s.
 
-    The first row of L (the equation for rho_00) is replaced by the trace
-    row and the completed system, in reverse Cuthill-McKee order, is
-    factored with SuperLU.  Only when that
-    fails, or leaves a residual |L v| above 1e-10, is the dense spectrum
-    computed (guarded by MemoryLimitError) to classify the failure:
+    L vec(rho) = 0 with Tr(rho) = 1 is solved by one sparse LU per shift.  The
+    first row of L (the equation for rho_00) is replaced by the trace row and
+    the completed system is put in reverse Cuthill-McKee order, which roughly
+    halves SuperLU's fill and time against its default COLAMD column order on
+    these generators.  That order and the CSC pattern, with every diagonal
+    entry stored, are made once; a solve writes the shifted diagonal into the
+    pattern and factors it.  Only when the factorization fails, or leaves a
+    residual |(L + s diag(d)) v| above 1e-10, is the dense spectrum computed
+    (guarded by MemoryLimitError) to classify the failure:
     DegenerateSteadyStateError when the kernel is more than one-dimensional
     within kernel_tol (relative singular-value threshold), e.g. for
     gamma = 0 undriven configurations supporting bound states, else
     AccuracyError.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    lmat = _generator(lv)
-    n2 = lmat.shape[0]
-    dim = int(round(np.sqrt(n2)))
-    trace_row = scipy.sparse.csr_matrix(
-        (np.ones(dim, dtype=complex), np.arange(0, n2, dim + 1), [0, dim]), shape=(1, n2))
-    a = scipy.sparse.vstack([trace_row, lmat[1:]], format="csr")
-    # a symmetric reverse Cuthill-McKee ordering roughly halves SuperLU's fill
-    # and time against its default COLAMD column ordering on these generators
-    perm = reverse_cuthill_mckee(abs(a) + abs(a.T), symmetric_mode=True)
-    b = np.zeros(n2, dtype=complex)
-    b[0] = 1.0
-    v = np.empty(n2, dtype=complex)
-    try:
-        lu = scipy.sparse.linalg.splu(a[perm][:, perm].tocsc(), permc_spec="NATURAL")
-        v[perm] = lu.solve(b[perm])
-    except RuntimeError:   # SuperLU: the factor is exactly singular
-        v = None
-    residual = np.inf
-    if v is not None and np.all(np.isfinite(v)):
-        residual = float(np.linalg.norm(lmat @ v))
-    if residual > 1e-10:
-        # slow path: classify the failure via the kernel dimension
-        _require_dense_fits(n2, "classifying the steady-state failure")
+    def __init__(self, lv, diagonal=None, kernel_tol: float = 1e-8):
+        import scipy.sparse
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        self.lmat = _generator(lv)
+        n2 = self.lmat.shape[0]
+        self.dim = int(round(np.sqrt(n2)))
+        self.diagonal = (np.zeros(n2) if diagonal is None
+                         else np.asarray(diagonal, dtype=complex))
+        self.kernel_tol = kernel_tol
+        trace_row = scipy.sparse.csr_matrix(
+            (np.ones(self.dim, dtype=complex), np.arange(0, n2, self.dim + 1),
+             [0, self.dim]), shape=(1, n2))
+        a = scipy.sparse.vstack([trace_row, self.lmat[1:]], format="coo")
+        self.perm = reverse_cuthill_mckee((abs(a) + abs(a.T)).tocsr(), symmetric_mode=True)
+        new = np.empty(n2, dtype=np.intp)
+        new[self.perm] = np.arange(n2)
+        # explicit zeros make every diagonal entry part of the pattern
+        self.system = scipy.sparse.csc_matrix(
+            (np.concatenate([a.data, np.zeros(n2)]),
+             (np.concatenate([new[a.row], np.arange(n2)]),
+              np.concatenate([new[a.col], np.arange(n2)]))), shape=(n2, n2))
+        cols = np.repeat(np.arange(n2), np.diff(self.system.indptr))
+        self.diag_pos = np.flatnonzero(self.system.indices == cols)
+        self.base_diag = self.system.data[self.diag_pos].copy()
+        shift_diag = self.diagonal[self.perm]
+        shift_diag[new[0]] = 0.0   # the trace row does not shift
+        self.shift_diag = shift_diag
+        self.rhs = np.zeros(n2, dtype=complex)
+        self.rhs[new[0]] = 1.0
+
+    def __call__(self, shift: float = 0.0) -> DensityMatrix:
+        import scipy.sparse.linalg
+
+        self.system.data[self.diag_pos] = self.base_diag + shift * self.shift_diag
+        v = np.empty(self.lmat.shape[0], dtype=complex)
+        try:
+            lu = scipy.sparse.linalg.splu(self.system, permc_spec="NATURAL")
+            v[self.perm] = lu.solve(self.rhs)
+        except RuntimeError:   # SuperLU: the factor is exactly singular
+            v = None
+        residual = np.inf
+        if v is not None and np.all(np.isfinite(v)):
+            residual = float(np.linalg.norm(self.lmat @ v + shift * self.diagonal * v))
+        if residual > 1e-10:
+            self._classify_failure(shift, residual)
+        return _clean(unvectorize(v, self.dim))
+
+    def _classify_failure(self, shift: float, residual: float):
+        import scipy.sparse
+
+        _require_dense_fits(self.lmat.shape[0], "classifying the steady-state failure")
+        lmat = self.lmat + shift * scipy.sparse.diags(self.diagonal)
         svals = np.linalg.svd(lmat.toarray(), compute_uv=False)
-        null_dim = int(np.sum(svals < kernel_tol * svals[0]))
+        null_dim = int(np.sum(svals < self.kernel_tol * svals[0]))
         if null_dim > 1:
             raise DegenerateSteadyStateError(
                 f"Liouvillian kernel is {null_dim}-dimensional; steady state not unique "
                 "(bound states conserve population; use time evolution instead)")
         raise AccuracyError(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    return _clean(unvectorize(v, dim))
+
+
+def steady_state(lv, kernel_tol: float = 1e-8) -> DensityMatrix:
+    """Solve L vec(rho) = 0 with Tr(rho) = 1: the unshifted case of SteadyStateSolver."""
+    return SteadyStateSolver(lv, kernel_tol=kernel_tol)()
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +376,18 @@ def convergence_check(params: ModelParams, layout: SpaceLayout, observable,
                       step: float | None = None) -> tuple[bool, float]:
     """Repeat an expectation-value trajectory at cutoff N and N+1.
 
-    observable and initial_state are callables of the layout (the operator
-    and state must be rebuilt for each cutoff); initial_state defaults to
-    the vacuum; step is ignored.  Returns (converged, max absolute deviation).
+    A layout capped at K total excitations is compared with cutoff N + 1
+    capped at K + 1.  observable and initial_state are callables of the
+    layout (the operator and state must be rebuilt for each truncation);
+    initial_state defaults to the vacuum; step is ignored.  Returns
+    (converged, max absolute deviation).
     """
     if initial_state is None:
         initial_state = vacuum_state
+    cap = layout.max_excitations
     series = []
-    for cutoff in (layout.fock_cutoff, layout.fock_cutoff + 1):
-        lay = SpaceLayout(layout.n_qubits, cutoff)
+    for lay in (layout, replace(layout, fock_cutoff=layout.fock_cutoff + 1,
+                                max_excitations=None if cap is None else cap + 1)):
         lv = build_liouvillian(params, lay, drive=drive)
         result = evolve(lv, initial_state(lay), t_grid)
         series.append(result.expect(observable(lay)).real)

@@ -50,6 +50,20 @@ def test_rerun_from_sidecar_reproduces_file(tmp_path):
     assert (first / "dynamics.csv").read_bytes() == (again / "dynamics.csv").read_bytes()
 
 
+def test_blockade_sidecar_records_solved_basis_and_reruns(tmp_path):
+    first, again, cut = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert main(["blockade", "--g", "5", "--fock-cutoff", "5", "--out", str(first)]) == 0
+    sidecar = json.loads((first / "blockade.json").read_text())
+    assert sidecar["basis"] == {"fock_cutoff": 5, "max_excitations": 5, "dim": 34}
+    assert "max_excitations" not in sidecar["config"]
+    assert main(["blockade", "--config", str(first / "blockade.json"),
+                 "--out", str(again)]) == 0
+    assert (first / "blockade.csv").read_bytes() == (again / "blockade.csv").read_bytes()
+    assert main(["blockade", "--g", "5", "--sweep", "fock_cutoff=4:5:2", "--out", str(cut)]) == 0
+    bases = json.loads((cut / "blockade.json").read_text())["basis"]
+    assert [b["dim"] for b in bases] == [23, 34]
+
+
 def test_rerun_from_sweep_sidecar_repeats_the_sweep(tmp_path):
     first, again, narrowed = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["eigen", "--sweep", "delta_phi=0:3.1:181", "--g", "20",

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,3 +132,66 @@ def test_product_ket_range_checks():
         product_ket(lay, (1,), 2, 0)
     with pytest.raises(ValueError):
         product_ket(lay, (), 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# excitation-capped layouts, against matrix elements built state by state
+# ---------------------------------------------------------------------------
+
+capped_layouts = st.builds(SpaceLayout, st.integers(0, 2), st.integers(2, 5),
+                           st.integers(1, 9))
+
+
+def kept_states(lay):
+    """Product states (q1..qn, n_L, n_R) with N <= K, in row-major box order."""
+    return [s for s in itertools.product(*map(range, lay.subsystem_dims))
+            if sum(s) <= lay.max_excitations]
+
+
+def elementwise_embed(op, slot, states):
+    m = np.zeros((len(states), len(states)), dtype=complex)
+    for i, a in enumerate(states):
+        for j, b in enumerate(states):
+            if all(x == y for k, (x, y) in enumerate(zip(a, b)) if k != slot):
+                m[i, j] = op[a[slot], b[slot]]
+    return m
+
+
+@given(lay=capped_layouts, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_capped_operators_are_box_operators_on_kept_states(lay, seed):
+    states = kept_states(lay)
+    assert lay.dim == len(states)
+    assert_array_equal(lay.excitations, [sum(s) for s in states])
+    rng = np.random.default_rng(seed)
+    for slot, d in enumerate(lay.subsystem_dims):
+        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert_array_equal(embed(op, slot, lay), elementwise_embed(op, slot, states))
+    a = destroy(lay.fock_cutoff)
+    for c, slot in zip(cavity_ops(lay), (lay.cavity_L, lay.cavity_R)):
+        assert_array_equal(c, elementwise_embed(a, slot, states))
+    for i in range(lay.n_qubits):
+        assert_array_equal(qubit_lowering(lay, i), elementwise_embed(sigma_minus(), i, states))
+    for i, s in enumerate(states):
+        assert_array_equal(product_ket(lay, s[:-2], *s[-2:]), np.eye(lay.dim)[i])
+
+
+def test_product_ket_outside_cap_raises():
+    lay = SpaceLayout(1, 4, max_excitations=3)
+    assert product_ket(lay, (1,), 2, 0)[lay.dim - 1] == 1.0   # the last kept state
+    with pytest.raises(ValueError, match="outside the cap"):
+        product_ket(lay, (1,), 2, 1)
+
+
+def test_cap_below_one_rejected():
+    for k in (0, -1):
+        with pytest.raises(InvalidCutoffError):
+            SpaceLayout(1, 4, max_excitations=k)
+
+
+def test_capped_dimensions():
+    # two qubits at cutoff 5 and one qubit at cutoff 8, capped at K = cutoff
+    assert SpaceLayout(2, 5, 5).dim == 59 and SpaceLayout(1, 8, 8).dim == 79
+    assert SpaceLayout(1, 4, 4).dim == 23 and SpaceLayout(1, 4).dim == 32
+    assert SpaceLayout(1, 4).excitations.tolist() == (
+        np.indices((2, 4, 4)).sum(axis=0).ravel().tolist())

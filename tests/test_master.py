@@ -12,7 +12,9 @@ from numpy.testing import assert_allclose
 from epqed.errors import (AccuracyError, BuildError, DegenerateSteadyStateError,
                           MemoryLimitError)
 from epqed.hilbert import SpaceLayout, cavity_ops, product_ket, qubit_lowering
-from epqed.master import (DensityMatrix, Liouvillian, build_liouvillian,
+from epqed import master
+from epqed.blockade import detuning_derivative
+from epqed.master import (DensityMatrix, Liouvillian, SteadyStateSolver, build_liouvillian,
                           convergence_check, evolve, lindblad_dissipator, spost,
                           spre, sprepost, steady_state, two_time_correlation,
                           unvectorize, vacuum_state, vectorize)
@@ -285,6 +287,25 @@ def test_strong_drive_not_converged_at_two_photons():
     assert not ok and dev > 1e-3
 
 
+@pytest.mark.parametrize("layout, second", [
+    (SpaceLayout(1, 3), SpaceLayout(1, 4)),
+    (SpaceLayout(1, 3, max_excitations=2), SpaceLayout(1, 4, max_excitations=3)),
+])
+def test_convergence_check_keeps_the_cap(monkeypatch, layout, second):
+    built = []
+    original = master.build_liouvillian
+    monkeypatch.setattr(master, "build_liouvillian",
+                        lambda p, lay, **kw: built.append(lay) or original(p, lay, **kw))
+    p = ModelParams(g=3.0, kappa=10.0, gamma=1.0)
+    drive = DriveSpec(omega_drive=0.0, amplitude=0.5)
+    t = np.linspace(0.0, 0.5, 4)
+    ok, dev = convergence_check(p, layout, _n_left, t, drive=drive)
+    assert built == [layout, second]
+    series = [evolve(original(p, lay, drive=drive), vacuum_state(lay), t)
+              .expect(_n_left(lay)).real for lay in built]
+    assert dev == np.abs(series[0] - series[1]).max()
+
+
 def test_weak_drive_converged_at_four_photons():
     p = ModelParams(g=5.0, kappa=20.0, gamma=1.0)
     drive = DriveSpec(omega_drive=0.0, amplitude=0.2)
@@ -365,7 +386,8 @@ random_models = st.builds(
                          phi_azim=(0.0, phi2)[:max(lay.n_qubits, 1)]),
         DriveSpec(omega_drive=det, amplitude=amp, target=target)),
     st.sampled_from([SpaceLayout(0, 2), SpaceLayout(0, 4), SpaceLayout(1, 2),
-                     SpaceLayout(1, 3), SpaceLayout(2, 2)]),
+                     SpaceLayout(1, 3), SpaceLayout(2, 2), SpaceLayout(0, 4, 2),
+                     SpaceLayout(1, 3, 2), SpaceLayout(2, 3, 2)]),
     st.floats(0.0, 10.0), st.floats(0.5, 30.0), st.floats(0.1, 5.0), st.floats(0.0, 1.0),
     st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.floats(-10.0, 10.0),
     st.floats(0.0, 2.0), st.sampled_from(["cavity_L", "cavity_R"]))
@@ -449,3 +471,28 @@ def test_one_qubit_at_cutoff_8_builds_and_evolves():
     _, c_r = cavity_ops(lay)
     n_r = res.expect(c_r.conj().T @ c_r).real
     assert n_r[0] == 0.0 and 0.0 < n_r[1] < n_r[2] < 1e-3
+
+
+@given(model=generator_models, extra=st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_cap_above_largest_excitation_reproduces_box_generator(model, extra):
+    lay, p, drive, frame = model
+    box = SpaceLayout(lay.n_qubits, lay.fock_cutoff)
+    capped = SpaceLayout(lay.n_qubits, lay.fock_cutoff,
+                         lay.n_qubits + 2 * (lay.fock_cutoff - 1) + extra)
+    a = build_liouvillian(p, box, drive=drive, frame=frame).generator
+    b = build_liouvillian(p, capped, drive=drive, frame=frame).generator
+    assert a.shape == b.shape and (a != b).nnz == 0
+
+
+@given(model=random_models, shift=st.floats(-10.0, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_shifted_solver_matches_steady_state_of_shifted_generator(model, shift):
+    # the sweep's path (one pattern, diagonal rewritten) against a fresh solve
+    lay, p, drive = model
+    lv = build_liouvillian(p, lay, drive=drive)
+    deriv = detuning_derivative(lay)
+    solver = SteadyStateSolver(lv, diagonal=deriv.diagonal())
+    ref = steady_state(lv.generator + shift * deriv)
+    assert_allclose(solver(shift).entries, ref.entries, rtol=0, atol=1e-12)
+    assert_allclose(solver(0.0).entries, steady_state(lv).entries, rtol=0, atol=1e-12)
