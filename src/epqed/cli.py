@@ -64,8 +64,8 @@ DEFAULTS: dict = {
 _EV_KEYS = ("g", "kappa", "gamma", "omega_c", "d0c", "drive_amplitude",
             "drive_detuning", "detuning")
 _INT_KEYS = ("fock_cutoff", "t_points", "omega_points")
-_FREQ_COLS = ("omega", "detuning", "delta_0c", "delta_omega", "J", "J_dp",
-              "J_ep", "gamma_m", "splitting", "peak_omega")
+_FREQ_COLS = ("omega", "detuning", "delta_0c", "delta_omega", "J", "J_dp", "J_ep", "gamma_m",
+              "splitting", "peak_omega", "lamb_shift", "local_coupling")
 # per-experiment defaults over DEFAULTS: spectrum peaks need a finer grid
 _EXPERIMENT_DEFAULTS = {"spectrum": {"omega_points": 4001}}
 
@@ -177,7 +177,7 @@ def _exp_ldos(cfg: dict):
     j_ep = -p.g**2 * np.imag(ldos.chi_ep(w, p))
     cols = {"omega": w}
     if cfg["ldos_method"] == "numerical":
-        layout = SpaceLayout(0, 2)
+        layout = SpaceLayout(0, 2, max_excitations=1)
         tau_max = cfg["tau_max"] if cfg["tau_max"] > 0 else None
         tau_step = cfg["tau_step"] if cfg["tau_step"] > 0 else None
         cols["J"] = ldos.numerical_spectral_density(p, layout, w, tau_max, tau_step).value
@@ -364,20 +364,19 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _unit(col: str, ev_mode: bool) -> str:
-    freq_unit = "eV" if ev_mode else "gamma0"
-    if col == "t":
-        return "[1/gamma0]"
-    if col.startswith(_FREQ_COLS) or col.startswith(("re_", "im_", "re", "im")):
-        return f"[{freq_unit}]"
-    if ev_mode and col in _EV_KEYS:   # a swept eV input, written back in eV
-        return "[eV]"
-    return "[1]"
-
-
 def _freq_like(col: str) -> bool:
     return (col.startswith(_FREQ_COLS) or col.startswith(("re_", "im_"))
             or col in ("re", "im") or col in _EV_KEYS)
+
+
+def _unit(col: str, ev_mode: bool) -> str:
+    if col == "t":
+        return "[1/gamma0]"
+    if not _freq_like(col):
+        return "[1]"
+    if ev_mode:
+        return "[eV]"
+    return "[1]" if col in _EV_KEYS and not col.startswith(_FREQ_COLS) else "[gamma0]"
 
 
 def write_csv(path: Path, columns: dict, cfg: dict, experiment: str):

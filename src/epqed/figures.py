@@ -99,7 +99,7 @@ def fig4() -> FigureResult:
 
     # oracle equivalence: single-excitation populations from the full generator
     p10 = _ep(np.pi, g=10.0, kappa=kappa, gamma=gamma)
-    layout = SpaceLayout(1, 2)
+    layout = SpaceLayout(1, 2, max_excitations=1)
     lv = master.build_liouvillian(p10, layout)
     t_cmp = np.linspace(0.0, 1.5, 61)
     rho0 = master.DensityMatrix.from_ket(product_ket(layout, (1,), 0, 0))

@@ -1,18 +1,18 @@
 """Operator algebra on the composite space (qubits (x) two bosonic modes).
 
-Operators are dense complex N x N matrices: N is at most a few hundred
-(the Fock box holds 2^2 * 5^2 = 100 states for two emitters at Fock cutoff 5
-and 128 for one at cutoff 8; capped at K = cutoff total excitations they
-hold 59 and 79).  The N^2 x N^2 superoperators built from them in `master`
-are sparse.  Basis conventions, fixed here once for all modules: qubit
-ground state is index 0, excited index 1; Fock states ascend 0..N-1; slot
-order is [qubit_1 .. qubit_n, cavity_L, cavity_R], and a capped layout keeps
-the box states with N <= K in the same (row-major) order.
+Operators are dense complex N x N matrices, N at most a few hundred (two
+emitters at Fock cutoff 5: 100 box states, 59 capped at K = 5); the
+N^2 x N^2 superoperators built from them in `master` are sparse.  Basis
+conventions, fixed here once for all modules: qubit ground state is index 0,
+excited index 1; Fock states ascend 0..N-1; slot order is [qubit_1 .. qubit_n,
+cavity_L, cavity_R].  The basis is `SpaceLayout.levels`, the box's product
+states in row-major order (all of them, or those with N <= K under a cap);
+every operator and ket is built on that list.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -23,12 +23,12 @@ from .errors import EmbedError, InvalidCutoffError
 class SpaceLayout:
     """Composite-space layout: n qubits followed by the two cavity modes.
 
-    n_qubits = 0 gives the cavity-only space used by the photonic
-    correlation functions.  The basis is the Fock box (each mode holds
-    0..fock_cutoff-1 photons); max_excitations = K keeps only its states with
-    N <= K, where N counts the photons in both modes plus the excited qubits.
-    Every term of the Liouvillian conserves or lowers N except the drive, so
-    operators restricted to the kept states multiply as the box ones do.
+    n_qubits = 0 gives the cavity-only space of the photonic correlators.
+    The basis is the Fock box (each mode holds 0..fock_cutoff-1 photons), or
+    with max_excitations = K its states with N <= K, N counting the photons
+    in both modes plus the excited qubits.  Every Liouvillian term but the
+    drive conserves or lowers N, so the capped operators multiply as the box
+    ones do.
     """
 
     n_qubits: int
@@ -41,8 +41,7 @@ class SpaceLayout:
         if self.fock_cutoff < 2:
             raise InvalidCutoffError(f"fock_cutoff must be >= 2, got {self.fock_cutoff}")
         if self.max_excitations is not None and self.max_excitations < 1:
-            raise InvalidCutoffError(
-                f"max_excitations must be >= 1, got {self.max_excitations}")
+            raise InvalidCutoffError(f"max_excitations must be >= 1, got {self.max_excitations}")
 
     @property
     def subsystem_dims(self) -> tuple[int, ...]:
@@ -50,28 +49,31 @@ class SpaceLayout:
         return (2,) * self.n_qubits + (self.fock_cutoff, self.fock_cutoff)
 
     @cached_property
-    def _box_excitations(self) -> np.ndarray:
-        return np.indices(self.subsystem_dims).sum(axis=0).ravel()
+    def levels(self) -> np.ndarray:
+        """(dim, n_slots) slot levels of the basis states, in box order (read-only)."""
+        levels = np.indices(self.subsystem_dims).reshape(self.n_slots, -1).T
+        if self.max_excitations is not None:
+            levels = levels[levels.sum(axis=1) <= self.max_excitations]
+        levels.flags.writeable = False
+        return levels
 
     @cached_property
-    def _kept(self) -> np.ndarray | None:
-        """Box indices of the basis states, or None for the whole box."""
-        if self.max_excitations is None:
-            return None
-        return np.flatnonzero(self._box_excitations <= self.max_excitations)
+    def _lookup(self) -> np.ndarray:
+        """Basis index of each flat box index, -1 for a state above the cap."""
+        lookup = np.full(int(np.prod(self.subsystem_dims)), -1)
+        lookup[np.ravel_multi_index(self.levels.T, self.subsystem_dims)] = np.arange(self.dim)
+        return lookup
 
     @cached_property
     def excitations(self) -> np.ndarray:
         """Excitation number N of each basis state (read-only)."""
-        n_exc = self._box_excitations
-        if self._kept is not None:
-            n_exc = n_exc[self._kept]
+        n_exc = self.levels.sum(axis=1)
         n_exc.flags.writeable = False
         return n_exc
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.subsystem_dims)) if self._kept is None else len(self._kept)
+        return len(self.levels)
 
     @property
     def n_slots(self) -> int:
@@ -111,18 +113,22 @@ def identity(dim: int) -> np.ndarray:
 
 
 def embed(op: np.ndarray, slot: int, layout: SpaceLayout) -> np.ndarray:
-    """Kronecker-embed a single-slot operator into the full space."""
+    """Single-slot operator on the layout's basis: <i|op|j> = op[i_slot, j_slot]
+    where states i and j agree in every other slot, else 0."""
     dims = layout.subsystem_dims
     if not 0 <= slot < layout.n_slots:
         raise EmbedError(f"slot {slot} out of range for layout with {layout.n_slots} slots")
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (dims[slot], dims[slot]):
-        raise EmbedError(
-            f"operator shape {op.shape} does not match slot dimension {dims[slot]}"
-        )
-    factors = [op if k == slot else identity(d) for k, d in enumerate(dims)]
-    full, kept = reduce(np.kron, factors), layout._kept
-    return full if kept is None else full[np.ix_(kept, kept)]
+    op, d = np.asarray(op, dtype=complex), dims[slot]
+    if op.shape != (d, d):
+        raise EmbedError(f"operator shape {op.shape} does not match slot dimension {d}")
+    level, stride = layout.levels[:, slot], int(np.prod(dims[slot + 1:]))
+    # partners[j, a]: basis index of state j with its slot level set to a (-1 above the cap)
+    partners = layout._lookup[np.ravel_multi_index(layout.levels.T, dims)[:, None]
+                              + (np.arange(d) - level[:, None]) * stride]
+    j, a = np.nonzero(partners >= 0)
+    full = np.zeros((layout.dim, layout.dim), dtype=complex)
+    full[partners[j, a], j] = op[a, level[j]]
+    return full
 
 
 def product_ket(layout: SpaceLayout, qubit_levels: tuple[int, ...] = (),
@@ -133,20 +139,13 @@ def product_ket(layout: SpaceLayout, qubit_levels: tuple[int, ...] = (),
     """
     levels = tuple(qubit_levels) + (n_left, n_right)
     dims = layout.subsystem_dims
-    if len(levels) != layout.n_slots:
-        raise ValueError(f"expected {layout.n_qubits} qubit levels, got {len(qubit_levels)}")
-    vecs = []
-    for lvl, d in zip(levels, dims):
-        if not 0 <= lvl < d:
-            raise ValueError(f"level {lvl} out of range for subsystem of dimension {d}")
-        v = np.zeros(d, dtype=complex)
-        v[lvl] = 1.0
-        vecs.append(v)
-    if layout.max_excitations is not None and sum(levels) > layout.max_excitations:
+    if len(levels) != layout.n_slots or not all(0 <= n < d for n, d in zip(levels, dims)):
+        raise ValueError(f"levels {levels} do not fit the slot dimensions {dims}")
+    index = layout._lookup[np.ravel_multi_index(levels, dims)]
+    if index < 0:
         raise ValueError(f"state with {sum(levels)} excitations lies outside the cap "
                          f"max_excitations = {layout.max_excitations}")
-    ket = reduce(np.kron, vecs)
-    return ket if layout._kept is None else ket[layout._kept]
+    return (np.arange(layout.dim) == index).astype(complex)
 
 
 def expect(op: np.ndarray, rho: np.ndarray) -> complex:

@@ -357,8 +357,10 @@ def steady_state(lv, kernel_tol: float = 1e-8) -> DensityMatrix:
 
 def two_time_correlation(lv, rho, a_op: np.ndarray, b_op: np.ndarray,
                          tau_grid, step: float | None = None) -> np.ndarray:
-    """<A(0) B(tau)> = Tr{ B exp(L tau)[rho A] } on the given tau grid; step is ignored."""
+    """<A(0) B(tau)> = Tr{ B exp(L tau)[rho A] } for tau ascending from 0; step is ignored."""
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if tau_grid[0] != 0 or np.any(np.diff(tau_grid) <= 0):
+        raise ValueError("tau_grid must be strictly ascending from tau = 0")
     rho = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
     raw = propagate(_generator(lv), vectorize(rho @ a_op), tau_grid)

@@ -184,6 +184,24 @@ def test_ev_unit_mode(tmp_path):
     assert cfg["kappa"] == pytest.approx(152.8e-6 / gamma0)
 
 
+def test_ev_mode_frequency_columns_are_scaled(tmp_path):
+    # lamb_shift and local_coupling are frequencies: eV mode writes them times gamma0_ev
+    gamma0 = 2.677e-7   # eV
+    rates = {"g": 10.0, "kappa": 20.0, "gamma": 1.0}
+    runs = {"g0": [f"{k}={v}" for k, v in rates.items()],
+            "ev": [f"{k}={v * gamma0!r}" for k, v in rates.items()] + [f"gamma0_ev={gamma0}"]}
+    cols = {}
+    for name, sets in runs.items():
+        args = ["spectrum", "--set", "omega_points=201", "--out", str(tmp_path / name)]
+        assert main(args + [x for kv in sets for x in ("--set", kv)]) == 0
+        cols[name] = read_csv(tmp_path / name / "spectrum.csv")
+    (h0, d0), (h_ev, d_ev) = cols["g0"], cols["ev"]
+    for col in ("lamb_shift", "local_coupling"):
+        assert f"{col}[gamma0]" in h0 and f"{col}[eV]" in h_ev
+        ref = d0[:, h0.index(f"{col}[gamma0]")] * gamma0
+        np.testing.assert_allclose(d_ev[:, h_ev.index(f"{col}[eV]")], ref, rtol=1e-12)
+
+
 def test_parse_sweep_validation():
     assert parse_sweep("g=1:2:5") == ("g", 1.0, 2.0, 5)
     with pytest.raises(ConfigError):

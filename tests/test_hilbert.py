@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -135,17 +137,24 @@ def test_product_ket_range_checks():
 
 
 # ---------------------------------------------------------------------------
-# excitation-capped layouts, against matrix elements built state by state
+# boxes and excitation-capped layouts, against matrix elements built state by
+# state and, for boxes, against the Kronecker-product construction
 # ---------------------------------------------------------------------------
 
 capped_layouts = st.builds(SpaceLayout, st.integers(0, 2), st.integers(2, 5),
-                           st.integers(1, 9))
+                           st.none() | st.integers(1, 9))
 
 
 def kept_states(lay):
-    """Product states (q1..qn, n_L, n_R) with N <= K, in row-major box order."""
-    return [s for s in itertools.product(*map(range, lay.subsystem_dims))
-            if sum(s) <= lay.max_excitations]
+    """Product states (q1..qn, n_L, n_R) with N <= K (all for a box), in row-major box order."""
+    cap = np.inf if lay.max_excitations is None else lay.max_excitations
+    return [s for s in itertools.product(*map(range, lay.subsystem_dims)) if sum(s) <= cap]
+
+
+def kron_embed(op, slot, lay):
+    """Box operator as the Kronecker product of op with identities."""
+    return reduce(np.kron, [op if k == slot else identity(d)
+                            for k, d in enumerate(lay.subsystem_dims)])
 
 
 def elementwise_embed(op, slot, states):
@@ -166,7 +175,10 @@ def test_capped_operators_are_box_operators_on_kept_states(lay, seed):
     rng = np.random.default_rng(seed)
     for slot, d in enumerate(lay.subsystem_dims):
         op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        assert_array_equal(embed(op, slot, lay), elementwise_embed(op, slot, states))
+        full = embed(op, slot, lay)
+        assert_array_equal(full, elementwise_embed(op, slot, states))
+        if lay.max_excitations is None:
+            assert_array_equal(full, kron_embed(op, slot, lay))
     a = destroy(lay.fock_cutoff)
     for c, slot in zip(cavity_ops(lay), (lay.cavity_L, lay.cavity_R)):
         assert_array_equal(c, elementwise_embed(a, slot, states))
@@ -174,6 +186,19 @@ def test_capped_operators_are_box_operators_on_kept_states(lay, seed):
         assert_array_equal(qubit_lowering(lay, i), elementwise_embed(sigma_minus(), i, states))
     for i, s in enumerate(states):
         assert_array_equal(product_ket(lay, s[:-2], *s[-2:]), np.eye(lay.dim)[i])
+
+
+def test_capped_operators_do_not_build_the_box():
+    # SpaceLayout(1, 40, 4) holds 25 states of a 3200-state box (a dense box operator is 156 MiB)
+    cavity_ops(SpaceLayout(1, 5, 4))   # warm the code paths
+    tracemalloc.start()
+    try:
+        c_l, _ = cavity_ops(SpaceLayout(1, 40, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c_l.shape == (25, 25)
+    assert peak < 2 * 2**20
 
 
 def test_product_ket_outside_cap_raises():

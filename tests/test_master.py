@@ -229,6 +229,18 @@ def test_identity_correlator_is_constant():
     assert_allclose(corr, np.ones(9), atol=1e-10)
 
 
+def test_correlator_tau_grid_must_ascend_from_zero():
+    p = ModelParams(g=0.0, kappa=6.0, gamma=0.0, r_abs=0.0)
+    lay = SpaceLayout(0, 2)
+    lv = build_liouvillian(p, lay)
+    c_l, _ = cavity_ops(lay)
+    for tau in ([0.1, 0.2], [0.2, 0.1], [0.0, 0.2, 0.1], [0.0, 0.1, 0.1]):
+        with pytest.raises(ValueError, match="ascending from tau = 0"):
+            two_time_correlation(lv, _single_photon_L(lay), c_l.conj().T, c_l, tau)
+    corr = two_time_correlation(lv, _single_photon_L(lay), c_l.conj().T, c_l, [0.0, 0.1])
+    assert_allclose(np.abs(corr), np.exp(-6.0 * np.array([0.0, 0.1]) / 2.0), atol=1e-12)
+
+
 def test_cavity_field_correlator_envelope():
     kappa = 6.0
     p = ModelParams(g=0.0, kappa=kappa, gamma=0.0, r_abs=0.0, omega_c=2.0)
