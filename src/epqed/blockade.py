@@ -3,8 +3,9 @@
 The right CCW mode is driven coherently (the left one receives the
 mirror-mediated feed), the left mode's statistics are read out; both
 choices are configurable.  All quantities come from the steady state of the
-driven rotating-frame generator, a CSR matrix solved by one sparse LU, in
-the basis `solve_layout` picks.
+driven rotating-frame generator, a CSR matrix solved by one banded LU of
+its reverse-Cuthill-McKee-ordered, trace-completed form, in the basis
+`solve_layout` picks.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ class BlockadeResult:
     detuning: float   # omega_drive - omega_c
     g2: float
     n_L: float
+    residual: float = np.nan   # |L vec(rho)| of the steady-state solve
 
 
 @dataclass
@@ -77,8 +79,8 @@ def _check_preconditions(params: ModelParams, drive: DriveSpec, layout: SpaceLay
             "assumptions and the Fock truncation may fail", stacklevel=3)
 
 
-def _statistics(rho: master.DensityMatrix, c_m: np.ndarray,
-                detuning: float) -> BlockadeResult:
+def _statistics(rho: master.DensityMatrix, c_m: np.ndarray, detuning: float,
+                residual: float) -> BlockadeResult:
     n_op = c_m.conj().T @ c_m
     n_val = rho.expect(n_op).real
     if n_val < 1e-12:
@@ -86,7 +88,7 @@ def _statistics(rho: master.DensityMatrix, c_m: np.ndarray,
             f"measured-mode population {n_val:.3e} too small for g2")
     g2_num = rho.expect(c_m.conj().T @ c_m.conj().T @ c_m @ c_m).real
     return BlockadeResult(detuning=float(detuning), g2=float(g2_num / n_val**2),
-                          n_L=float(n_val))
+                          n_L=float(n_val), residual=residual)
 
 
 def g2_zero(params: ModelParams, drive: DriveSpec, layout: SpaceLayout,
@@ -94,10 +96,10 @@ def g2_zero(params: ModelParams, drive: DriveSpec, layout: SpaceLayout,
     """Steady-state g2(0) = <c+c+cc>/<c+c>^2 of the measured mode."""
     _check_preconditions(params, drive, layout)
     layout = solve_layout(layout)
-    lv = master.build_liouvillian(params, layout, drive=drive)
-    rho = master.steady_state(lv)
+    solve = master.SteadyStateSolver(master.build_liouvillian(params, layout, drive=drive))
+    rho = solve()
     return _statistics(rho, _measure_ops(layout, measure),
-                       drive.omega_drive - params.omega_c)
+                       drive.omega_drive - params.omega_c, solve.residual)
 
 
 def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
@@ -106,10 +108,10 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
 
     The generator is affine in the drive frequency (the frame rotation
     shifts its diagonal by the excitation-number difference), so the sweep
-    reuses one build and one ordered pattern of the steady-state system, and
-    each point writes only its diagonal.  A point that raises EpqedError or
-    ValueError is recorded in `errors` with NaN results and the sweep
-    continues; any other exception propagates.
+    reuses one build and one ordering (and band layout) of the steady-state
+    system, and each point only shifts its diagonal.  A point that raises
+    EpqedError or ValueError is recorded in `errors` with NaN results and
+    the sweep continues; any other exception propagates.
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     _check_preconditions(params, drive, layout)
@@ -125,7 +127,7 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
     for det in detuning_grid:
         try:
             rho = solve(det - detuning_grid[0])
-            results.append(_statistics(rho, c_m, det))
+            results.append(_statistics(rho, c_m, det, solve.residual))
         except (EpqedError, ValueError) as exc:  # collect, keep sweeping
             errors.append((float(det), f"{type(exc).__name__}: {exc}"))
             results.append(BlockadeResult(detuning=float(det), g2=np.nan, n_L=np.nan))

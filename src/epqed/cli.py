@@ -68,6 +68,7 @@ _FREQ_COLS = ("omega", "detuning", "delta_0c", "delta_omega", "J", "J_dp", "J_ep
               "splitting", "peak_omega", "lamb_shift", "local_coupling")
 # per-experiment defaults over DEFAULTS: spectrum peaks need a finer grid
 _EXPERIMENT_DEFAULTS = {"spectrum": {"omega_points": 4001}}
+_RESIDUAL = "steady_state_residual"   # per-point blockade key, moved to the sidecar
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ def _exp_blockade(cfg: dict):
                            measure=cfg["measure"])
     cols = {"detuning": np.array([res.detuning]), "g2": np.array([res.g2]),
             "n_L": np.array([res.n_L])}
-    return {"blockade": cols}, {"g2": res.g2, "n_L": res.n_L}
+    return {"blockade": cols}, {"g2": res.g2, "n_L": res.n_L, _RESIDUAL: res.residual}
 
 
 def _exp_trapping(cfg: dict):
@@ -328,7 +329,7 @@ def _blockade_sweep(cfg: dict, values: np.ndarray):
     res = blockade.g2_sweep(params_from_config(cfg), _blockade_drive(cfg, 0.0),
                             values, _blockade_layout(cfg),
                             measure=cfg["measure"])
-    rows = [{"g2": r.g2, "n_L": r.n_L} for r in res.results]
+    rows = [{"g2": r.g2, "n_L": r.n_L, _RESIDUAL: r.residual} for r in res.results]
     summary = {"min_g2": res.min_g2, "min_g2_detuning": res.min_g2_detuning,
                "max_n_L": res.max_n_L, "max_n_L_detuning": res.max_n_L_detuning}
     return rows, summary, [list(e) for e in res.errors]
@@ -413,7 +414,7 @@ def write_sidecar(path: Path, experiment: str, cfg: dict, outputs: list[str],
                   summary: dict, sweep=None, errors=None, extra=None):
     payload = {"tool": "epqed", "version": __version__, "experiment": experiment,
                "config": _jsonable(cfg), "outputs": outputs,
-               "summary": _jsonable(summary), **(extra or {})}
+               "summary": _jsonable(summary), **_jsonable(extra or {})}
     if sweep is not None:
         name, start, stop, count = sweep
         payload["sweep"] = f"{name}={float(start)!r}:{float(stop)!r}:{count}"
@@ -433,11 +434,14 @@ def run(experiment: str, cfg: dict, sweep=None,
     A blockade sidecar also records the basis solved in as `basis`
     {fock_cutoff, max_excitations, dim}; for a sweep over fock_cutoff it is a
     list with one entry per point (null where SpaceLayout rejects the cutoff).
+    Its `diagnostics` hold the largest steady-state residual |L vec(rho)| over
+    the solved points (null when none was solved).
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     errors, extra = [], {}
     if sweep is None:
         tables, summary = EXPERIMENTS[experiment](cfg)
+        rows = [summary]
     else:
         if experiment == "fit":
             raise ConfigError(f"experiment {experiment!r} does not support sweeps")
@@ -451,11 +455,15 @@ def run(experiment: str, cfg: dict, sweep=None,
             rows, summary, errors = _blockade_sweep(cfg, values)
         else:
             rows, summary, errors = _generic_sweep(experiment, cfg, name, values)
-        tables = {experiment: _sweep_columns(name, values, rows)}
-    if experiment == "blockade":
+    if experiment == "blockade":   # the residual goes to the sidecar, not the tables
+        residuals = [r.pop(_RESIDUAL) for r in rows if r is not None]
+        extra["diagnostics"] = {"max_steady_state_residual": max(
+            (x for x in residuals if np.isfinite(x)), default=np.nan)}
         extra["basis"] = (
             _each_point(values, lambda v: _solved_basis(_point_config(cfg, name, v)))[0]
             if sweep is not None and name == "fock_cutoff" else _solved_basis(cfg))
+    if sweep is not None:
+        tables = {experiment: _sweep_columns(name, values, rows)}
 
     outputs = []
     for stem, columns in tables.items():

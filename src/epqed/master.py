@@ -87,13 +87,12 @@ def lindblad_dissipator(op):
     return _kron_sum([(1.0, op.conj(), op), (-0.5, eye, odo), (-0.5, odo.T, eye)], len(op))
 
 
-def _require_dense_fits(n: int, what: str):
-    """Raise MemoryLimitError if a dense complex n x n array exceeds physical memory."""
-    need = 16 * n * n
+def _require_fits(nbytes: int, what: str):
+    """Raise MemoryLimitError if an allocation of nbytes exceeds physical memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
+    if nbytes > have:
         raise MemoryLimitError(
-            f"{what} needs a dense {n} x {n} complex array ({need / 2**30:.3g} GiB), "
+            f"{what} needs {nbytes / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory")
 
 
@@ -162,7 +161,8 @@ class Liouvillian:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense copy of the generator, made on first access (for dense oracles)."""
-        _require_dense_fits(self.generator.shape[0], "the dense Liouvillian")
+        n2 = self.generator.shape[0]
+        _require_fits(16 * n2 * n2, f"the dense {n2} x {n2} complex Liouvillian")
         return self.generator.toarray()
 
 
@@ -269,19 +269,21 @@ def evolve(lv, rho0, t_grid, step: float | None = None) -> EvolutionResult:
 class SteadyStateSolver:
     """Steady states of L + s diag(d) for one generator L, one diagonal d and shifts s.
 
-    L vec(rho) = 0 with Tr(rho) = 1 is solved by one sparse LU per shift.  The
-    first row of L (the equation for rho_00) is replaced by the trace row and
-    the completed system is put in reverse Cuthill-McKee order, which roughly
-    halves SuperLU's fill and time against its default COLAMD column order on
-    these generators.  That order and the CSC pattern, with every diagonal
-    entry stored, are made once; a solve writes the shifted diagonal into the
-    pattern and factors it.  Only when the factorization fails, or leaves a
+    L vec(rho) = 0 with Tr(rho) = 1 is solved by one banded LU per shift
+    (LAPACK zgbsv).  The first row of L (the equation for rho_00) is replaced
+    by the trace row and the completed system is put in reverse Cuthill-McKee
+    order, the heuristic that minimises its bandwidth: kl = ku = 79 at
+    N^2 = 529 (one qubit, K = 4).  That order, kl, ku and the band position
+    of every nonzero are found once; a solve scatters the values of L into
+    band storage of 16 N^2 (2 kl + ku + 1) bytes (checked against physical
+    memory up front, MemoryLimitError), adds the shifted diagonal and
+    factors in place.  Only when the factor is singular, or leaves a
     residual |(L + s diag(d)) v| above 1e-10, is the dense spectrum computed
     (guarded by MemoryLimitError) to classify the failure:
     DegenerateSteadyStateError when the kernel is more than one-dimensional
     within kernel_tol (relative singular-value threshold), e.g. for
     gamma = 0 undriven configurations supporting bound states, else
-    AccuracyError.
+    AccuracyError.  `residual` is the residual of the last solve.
     """
 
     def __init__(self, lv, diagonal=None, kernel_tol: float = 1e-8):
@@ -289,45 +291,56 @@ class SteadyStateSolver:
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         self.lmat = _generator(lv)
+        self.lmat.sum_duplicates()   # one band position per entry
         n2 = self.lmat.shape[0]
         self.dim = int(round(np.sqrt(n2)))
         self.diagonal = (np.zeros(n2) if diagonal is None
                          else np.asarray(diagonal, dtype=complex))
         self.kernel_tol = kernel_tol
-        trace_row = scipy.sparse.csr_matrix(
-            (np.ones(self.dim, dtype=complex), np.arange(0, n2, self.dim + 1),
-             [0, self.dim]), shape=(1, n2))
-        a = scipy.sparse.vstack([trace_row, self.lmat[1:]], format="coo")
-        self.perm = reverse_cuthill_mckee((abs(a) + abs(a.T)).tocsr(), symmetric_mode=True)
+        self.residual = np.nan
+        # pattern of the trace-completed system: the trace row, then rows 1.. of L
+        rows = np.concatenate([np.zeros(self.dim, dtype=np.intp),
+                               np.repeat(np.arange(1, n2), np.diff(self.lmat.indptr[1:]))])
+        cols = np.concatenate([np.arange(0, n2, self.dim + 1),
+                               self.lmat.indices[self.lmat.indptr[1]:]])
+        pattern = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n2, n2))
+        self.perm = reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)
         new = np.empty(n2, dtype=np.intp)
         new[self.perm] = np.arange(n2)
-        # explicit zeros make every diagonal entry part of the pattern
-        self.system = scipy.sparse.csc_matrix(
-            (np.concatenate([a.data, np.zeros(n2)]),
-             (np.concatenate([new[a.row], np.arange(n2)]),
-              np.concatenate([new[a.col], np.arange(n2)]))), shape=(n2, n2))
-        cols = np.repeat(np.arange(n2), np.diff(self.system.indptr))
-        self.diag_pos = np.flatnonzero(self.system.indices == cols)
-        self.base_diag = self.system.data[self.diag_pos].copy()
-        shift_diag = self.diagonal[self.perm]
-        shift_diag[new[0]] = 0.0   # the trace row does not shift
-        self.shift_diag = shift_diag
-        self.rhs = np.zeros(n2, dtype=complex)
-        self.rhs[new[0]] = 1.0
+        rows, cols = new[rows], new[cols]
+        # both >= 0: the trace row holds the diagonal entry of rho_00
+        self.kl, self.ku = int((rows - cols).max()), int((cols - rows).max())
+        ldab = 2 * self.kl + self.ku + 1
+        _require_fits(16 * n2 * ldab, f"the steady-state band ({ldab} x {n2} complex, "
+                                      f"kl = {self.kl}, ku = {self.ku})")
+        # LAPACK band storage keeps A[i, j] at ab[kl + ku + i - j, j] of a Fortran
+        # (ldab, N^2) array, held here as its C-ordered transpose
+        band_pos = cols * ldab + self.kl + self.ku + rows - cols
+        self.trace_pos, self.band_pos = band_pos[:self.dim], band_pos[self.dim:]
+        self.trace_row = new[0]
+        self.shift_diag = self.diagonal[self.perm]
+        self.shift_diag[self.trace_row] = 0.0   # the trace row does not shift
 
     def __call__(self, shift: float = 0.0) -> DensityMatrix:
-        import scipy.sparse.linalg
+        from scipy.linalg.lapack import zgbsv
 
-        self.system.data[self.diag_pos] = self.base_diag + shift * self.shift_diag
-        v = np.empty(self.lmat.shape[0], dtype=complex)
-        try:
-            lu = scipy.sparse.linalg.splu(self.system, permc_spec="NATURAL")
-            v[self.perm] = lu.solve(self.rhs)
-        except RuntimeError:   # SuperLU: the factor is exactly singular
-            v = None
+        n2 = self.lmat.shape[0]
+        ab = np.zeros((n2, 2 * self.kl + self.ku + 1), dtype=complex)
+        flat = ab.reshape(-1)
+        flat[self.trace_pos] = 1.0
+        flat[self.band_pos] = self.lmat.data[self.lmat.indptr[1]:]
+        ab[:, self.kl + self.ku] += shift * self.shift_diag
+        rhs = np.zeros((n2, 1), dtype=complex)
+        rhs[self.trace_row] = 1.0
+        _, _, x, info = zgbsv(self.kl, self.ku, ab.T, rhs, overwrite_ab=1, overwrite_b=1)
+        if info < 0:
+            raise RuntimeError(f"zgbsv rejected argument {-info}")
         residual = np.inf
-        if v is not None and np.all(np.isfinite(v)):
+        if info == 0 and np.all(np.isfinite(x)):   # info > 0: the factor is exactly singular
+            v = np.empty(n2, dtype=complex)
+            v[self.perm] = x[:, 0]
             residual = float(np.linalg.norm(self.lmat @ v + shift * self.diagonal * v))
+        self.residual = residual
         if residual > 1e-10:
             self._classify_failure(shift, residual)
         return _clean(unvectorize(v, self.dim))
@@ -335,10 +348,12 @@ class SteadyStateSolver:
     def _classify_failure(self, shift: float, residual: float):
         import scipy.sparse
 
-        _require_dense_fits(self.lmat.shape[0], "classifying the steady-state failure")
+        n2 = self.lmat.shape[0]
+        _require_fits(16 * n2 * n2, f"classifying the steady-state failure (a dense {n2} x {n2} "
+                                    "complex array)")
         lmat = self.lmat + shift * scipy.sparse.diags(self.diagonal)
         svals = np.linalg.svd(lmat.toarray(), compute_uv=False)
-        null_dim = int(np.sum(svals < self.kernel_tol * svals[0]))
+        null_dim = int(np.sum(svals <= self.kernel_tol * svals[0]))   # L = 0: all of them
         if null_dim > 1:
             raise DegenerateSteadyStateError(
                 f"Liouvillian kernel is {null_dim}-dimensional; steady state not unique "

@@ -64,6 +64,17 @@ def test_blockade_sidecar_records_solved_basis_and_reruns(tmp_path):
     assert [b["dim"] for b in bases] == [23, 34]
 
 
+def test_blockade_sidecar_records_steady_state_residual(tmp_path):
+    for out, extra in (("one", []), ("det", ["--sweep", "detuning=-2:2:3"]),
+                       ("cut", ["--sweep", "fock_cutoff=4:5:2"])):
+        assert main(["blockade", "--g", "5", *extra, "--out", str(tmp_path / out)]) == 0
+        sidecar = json.loads((tmp_path / out / "blockade.json").read_text())
+        assert 0.0 <= sidecar["diagnostics"]["max_steady_state_residual"] <= 1e-10
+        assert "steady_state_residual" not in sidecar["summary"]
+        header, _ = read_csv(tmp_path / out / "blockade.csv")
+        assert not any(h.startswith("steady_state_residual") for h in header)
+
+
 def test_rerun_from_sweep_sidecar_repeats_the_sweep(tmp_path):
     first, again, narrowed = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["eigen", "--sweep", "delta_phi=0:3.1:181", "--g", "20",
@@ -249,6 +260,8 @@ def test_sweep_with_every_point_failed_exits_3(tmp_path):
     errors = json.loads((tmp_path / "blockade.json").read_text())["errors"]
     assert [e[0] for e in errors] == [-2.0, 0.0, 2.0]
     assert all(e[1].startswith("StatisticsUndefinedError: ") for e in errors)
+    diagnostics = json.loads((tmp_path / "blockade.json").read_text())["diagnostics"]
+    assert diagnostics == {"max_steady_state_residual": None}
 
 
 def test_spectrum_grid_is_the_recorded_one(tmp_path):

@@ -464,12 +464,35 @@ def test_dense_view_of_huge_layout_raises_without_allocating():
 
 def test_dense_steady_state_fallback_is_guarded(monkeypatch):
     # the degenerate kernel of test_degenerate_kernel_raises, on a machine too
-    # small for its dense 64 x 64 fallback
+    # small for its dense 64 x 64 fallback; the solver (and its band check) is
+    # made before the memory shrinks
     p = ModelParams.from_delta_phi(0.0, g=5.0, kappa=20.0, gamma=0.0)
-    lv = build_liouvillian(p, SpaceLayout(1, 2))
+    solve = SteadyStateSolver(build_liouvillian(p, SpaceLayout(1, 2)))
     monkeypatch.setattr(os, "sysconf", lambda name: 8)
-    with pytest.raises(MemoryLimitError):
-        steady_state(lv)
+    with pytest.raises(MemoryLimitError, match="classifying the steady-state failure"):
+        solve()
+
+
+def test_band_storage_is_guarded_before_allocation(monkeypatch):
+    # a solvable system on a machine one byte short of its 16 N^2 (2 kl + ku + 1)
+    # band bytes: the constructor raises, and the band is allocated only by a solve
+    lv = build_liouvillian(ModelParams(g=5.0, kappa=20.0, gamma=1.0), SpaceLayout(1, 3, 2),
+                           drive=DriveSpec(omega_drive=0.0, amplitude=0.2))
+    solve = SteadyStateSolver(lv)
+    n2 = lv.generator.shape[0]
+    need = 16 * n2 * (2 * solve.kl + solve.ku + 1)
+    monkeypatch.setattr(os, "sysconf", lambda name: need if name == "SC_PHYS_PAGES" else 1)
+    assert SteadyStateSolver(lv)().entries.shape == (lv.layout.dim,) * 2
+    monkeypatch.setattr(os, "sysconf", lambda name: need - 1 if name == "SC_PHYS_PAGES" else 1)
+    with pytest.raises(MemoryLimitError, match="steady-state band"):
+        SteadyStateSolver(lv)
+
+
+def test_zero_generator_is_degenerate_not_a_lapack_error():
+    # every column but the trace row's is zero: the banded factor is exactly singular
+    n2 = SpaceLayout(1, 2).dim ** 2
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(scipy.sparse.csr_matrix((n2, n2), dtype=complex))
 
 
 def test_one_qubit_at_cutoff_8_builds_and_evolves():
@@ -495,6 +518,31 @@ def test_cap_above_largest_excitation_reproduces_box_generator(model, extra):
     a = build_liouvillian(p, box, drive=drive, frame=frame).generator
     b = build_liouvillian(p, capped, drive=drive, frame=frame).generator
     assert a.shape == b.shape and (a != b).nnz == 0
+
+
+capped_models = st.builds(
+    lambda lay, model: (lay, model[1].replace(phi_azim=(0.0, 0.7)[:lay.n_qubits]), model[2]),
+    st.sampled_from([SpaceLayout(1, 4, 3), SpaceLayout(1, 4, 4), SpaceLayout(1, 5, 4),
+                     SpaceLayout(2, 3, 2), SpaceLayout(2, 4, 3)]),
+    random_models)
+
+
+@given(model=capped_models, shift=st.floats(-10.0, 10.0))
+@settings(max_examples=30, deadline=None)
+def test_banded_solver_matches_sparse_direct_solve(model, shift):
+    # the banded LU against scipy's sparse direct solve (the path it replaced) of
+    # the same shifted, trace-completed system
+    lay, p, drive = model
+    lv = build_liouvillian(p, lay, drive=drive)
+    deriv = detuning_derivative(lay)
+    a = (lv.generator + shift * deriv).tolil()
+    a[0, :] = np.eye(lay.dim).reshape(1, -1)   # the trace row
+    b = np.zeros(lay.dim**2, dtype=complex)
+    b[0] = 1.0
+    ref = unvectorize(scipy.sparse.linalg.spsolve(a.tocsc(), b), lay.dim)
+    solve = SteadyStateSolver(lv, diagonal=deriv.diagonal())
+    assert_allclose(solve(shift).entries, ref, rtol=0, atol=1e-12)
+    assert solve.residual <= 1e-10
 
 
 @given(model=random_models, shift=st.floats(-10.0, 10.0))
