@@ -353,7 +353,9 @@ def _sweep_columns(name: str, values: np.ndarray, rows: list) -> dict:
     cols = {name: values}
     for i, row in enumerate(rows):
         for key, val in (row or {}).items():
-            cols.setdefault(key, np.full(len(values), np.nan))[i] = float(val)
+            if key not in cols:
+                cols[key] = np.full(len(values), np.nan)
+            cols[key][i] = float(val)
     return cols
 
 

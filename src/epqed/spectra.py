@@ -66,74 +66,72 @@ def coupling_matrix(params: ModelParams, n_qubits: int | None = None) -> np.ndar
     return m
 
 
-def _match_to_previous(vecs: np.ndarray, previous: list[EigenMode]) -> list[int]:
-    """Greedy max-|overlap| assignment of new columns to previous modes."""
-    overlaps = np.abs(np.array([m.vector for m in previous]).conj() @ vecs)
-    order = [-1] * len(previous)
-    taken: set[int] = set()
-    for prev_i in np.argsort(-overlaps.max(axis=1)):
-        for cand in np.argsort(-overlaps[prev_i]):
-            if cand not in taken:
-                order[prev_i] = int(cand)
-                taken.add(int(cand))
-                break
-    return order
+def _greedy_match(overlaps: np.ndarray) -> np.ndarray:
+    """Greedy max-overlap column of each row of a (P, n, n) overlap stack: rows by
+    descending best overlap take their best untaken column, in np.argsort's orders."""
+    s = np.arange(len(overlaps))
+    cands = np.argsort(-overlaps, axis=-1)
+    taken = np.zeros(overlaps.shape[:2], dtype=bool)
+    match = np.empty(overlaps.shape[:2], dtype=int)
+    for row in np.argsort(-overlaps.max(axis=-1), axis=-1).T:
+        cand = cands[s, row]
+        match[s, row] = pick = cand[s, np.argmax(~taken[s[:, None], cand], axis=-1)]
+        taken[s, pick] = True
+    return match
 
 
-def eigenmodes(m: np.ndarray, previous: list[EigenMode] | None = None) -> list[EigenMode]:
-    """Eigendecomposition with continuity labels and EP (defectiveness) flags.
-
-    Labels follow ascending real part on the first call and maximal
-    eigenvector overlap with `previous` afterwards.  A coalescent pair
-    (eigenvalues and eigenvectors both merged to tolerance) is flagged
-    degenerate and its second vector replaced by a generalized eigenvector.
-    """
-    m = np.asarray(m, dtype=complex)
-    vals, vecs = np.linalg.eig(m)
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    n = len(vals)
-
-    degenerate = [False] * n
-    scale = max(1.0, np.abs(vals).max())
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(vals[i] - vals[j])
-            if gap > max(1e-10, DEFECT_EIGVAL_TOL * scale):
-                continue
-            if 1.0 - abs(np.vdot(vecs[:, i], vecs[:, j])) > DEFECT_OVERLAP_TOL:
-                continue  # degenerate but diagonalizable (e.g. two uncoupled modes)
-            degenerate[i] = degenerate[j] = True
-            lam = 0.5 * (vals[i] + vals[j])
-            gen, *_ = np.linalg.lstsq(m - lam * np.eye(n), vecs[:, i], rcond=None)
-            norm = np.linalg.norm(gen)
-            if norm > 0:
-                vecs[:, j] = gen / norm
-
-    if previous is None:
-        order = list(np.argsort(vals.real))
-        labels = list(range(n))
-    else:
-        order = _match_to_previous(vecs, previous)
-        labels = [mode.label for mode in previous]
-
-    modes = []
-    for lab, col in zip(labels, order):
-        v = vecs[:, col]
-        hop = np.abs(v) ** 2
-        hop = hop / hop.sum()
-        modes.append(EigenMode(value=complex(vals[col]), vector=v, hopfield=hop,
-                               label=lab, degenerate=degenerate[col]))
-    return modes
+def eigenmodes(m: np.ndarray) -> list[EigenMode]:
+    """Eigenmodes of one matrix, `eigenmode_sweep([m])[0]`: one np.linalg.eig,
+    labels by ascending real part, ties as np.argsort puts them."""
+    return eigenmode_sweep([m])[0]
 
 
 def eigenmode_sweep(matrices) -> list[list[EigenMode]]:
-    """Label-continuous eigenmodes along a parameter sweep."""
-    out: list[list[EigenMode]] = []
-    prev = None
-    for m in matrices:
-        prev = eigenmodes(m, previous=prev)
-        out.append(prev)
-    return out
+    """Label-continuous eigenmodes along a sweep, from one stacked np.linalg.eig.
+
+    Labels follow ascending real part at the first point, then a greedy max-|overlap|
+    match to the previous point: its modes, in label order, go by descending best
+    overlap and take their best untaken column, ties falling as np.argsort puts them
+    (not stable for n >= 4 on AVX-512 builds).  A coalescent pair (eigenvalues and
+    eigenvectors merged to tolerance) is flagged degenerate and its second vector
+    replaced by a generalized eigenvector.  Mixed matrix shapes raise ValueError.
+    """
+    ms = [np.asarray(m, dtype=complex) for m in matrices]
+    if not ms:
+        return []
+    vals, vecs = np.linalg.eig(stack := np.stack(ms))
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    n = vals.shape[1]
+    degenerate = np.zeros(vals.shape, dtype=bool)
+    tol = np.maximum(1e-10, DEFECT_EIGVAL_TOL * np.maximum(1.0, np.abs(vals).max(axis=1)))
+    close = ~(np.abs(vals[:, :, None] - vals[:, None, :]) > tol[:, None, None])
+    for k, i, j in zip(*np.nonzero(close & np.triu(np.ones((n, n), dtype=bool), 1))):
+        if 1.0 - abs(np.vdot(vecs[k, :, i], vecs[k, :, j])) > DEFECT_OVERLAP_TOL:
+            continue  # degenerate but diagonalizable (e.g. two uncoupled modes)
+        degenerate[k, [i, j]] = True
+        lam = 0.5 * (vals[k, i] + vals[k, j])
+        gen, *_ = np.linalg.lstsq(stack[k] - lam * np.eye(n), vecs[k, :, i], rcond=None)
+        norm = np.linalg.norm(gen)
+        if norm > 0:
+            vecs[k, :, j] = gen / norm
+    # overlaps[k, a, b] = |<column a at point k|column b at point k+1>|; a step
+    # whose row maxima tie is matched again with its rows in label order
+    overlaps = np.abs(np.ascontiguousarray(vecs[:-1].conj().swapaxes(1, 2)) @ vecs[1:])
+    rowmax = np.sort(overlaps.max(axis=-1), axis=-1)
+    tied = (rowmax[:, 1:] == rowmax[:, :-1]).any(axis=-1).tolist()
+    cols = [np.argsort(vals[0].real).tolist()]
+    for k, row in enumerate(_greedy_match(overlaps).tolist()):
+        prev = cols[-1]
+        cols.append(_greedy_match(overlaps[k, prev][None])[0].tolist() if tied[k]
+                    else [row[c] for c in prev])
+    cols = np.array(cols)
+    vecs = np.take_along_axis(vecs.swapaxes(1, 2), cols[:, :, None], axis=1)
+    hop = np.abs(vecs) ** 2
+    return [[EigenMode(value=val, vector=vec, hopfield=h, label=lab, degenerate=deg)
+             for lab, (val, vec, h, deg) in enumerate(zip(*point))]
+            for point in zip(np.take_along_axis(vals, cols, axis=1).tolist(), vecs,
+                             hop / hop.sum(axis=2, keepdims=True),
+                             np.take_along_axis(degenerate, cols, axis=1).tolist())]
 
 
 def approx_eigenvalues(params: ModelParams) -> tuple[complex, complex, complex]:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from epqed import spectra
 from epqed.cli import main, parse_sweep
 from epqed.errors import ConfigError
 from epqed.ldos import lorentzian_model
@@ -249,6 +250,34 @@ def test_sweep_failed_point_is_nan_row_and_recorded(tmp_path, capsys):
     assert errors == [[0.0, "ValueError: g and kappa must be positive"]]
     assert capsys.readouterr().err.strip().splitlines() == [
         "epqed: 1 of 5 sweep points failed; see 'errors' in trapping.json"]
+
+
+def test_eigen_sweep_failed_middle_point_keeps_labels_across_it(tmp_path, monkeypatch):
+    built, real = [], spectra.coupling_matrix
+
+    def failing_in_the_middle(params, n_qubits=None):
+        if len(built) == 15:
+            built.append(None)
+            raise ValueError("injected failure")
+        built.append(real(params, n_qubits))
+        return built[-1]
+
+    monkeypatch.setattr(spectra, "coupling_matrix", failing_in_the_middle)
+    rc = main(["eigen", "--sweep", "delta_phi=0:3.0:31", "--g", "20", "--kappa", "20",
+               "--gamma", "0", "--out", str(tmp_path)])
+    assert rc == 0
+    header, data = read_csv(tmp_path / "eigen.csv")
+    assert np.isnan(data[15, 1:]).all()
+    good = np.delete(np.arange(31), 15)
+    assert np.isfinite(data[good]).all()
+    errors = json.loads((tmp_path / "eigen.json").read_text())["errors"]
+    assert errors == [[data[15, 0], "ValueError: injected failure"]]
+    # the good points are one sweep, without the failed one
+    expected = spectra.eigenmode_sweep(m for m in built if m is not None)
+    for row, modes in zip(data[good], expected):
+        for mode in modes:
+            assert row[header.index(f"re_{mode.label}[gamma0]")] == mode.value.real
+            assert row[header.index(f"im_{mode.label}[gamma0]")] == mode.value.imag
 
 
 def test_sweep_with_every_point_failed_exits_3(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from epqed.dynamics import amplitude_evolve, excited_qubit_state
@@ -7,7 +9,8 @@ from epqed.errors import (CooperativityUndefinedError, DivergenceError,
                           NoBicError)
 from epqed.ldos import spectral_density, transparency_detuning
 from epqed.params import ModelParams
-from epqed.spectra import (approx_eigenvalues, coupling_matrix, delta_omega_bic,
+from epqed.spectra import (DEFECT_EIGVAL_TOL, DEFECT_OVERLAP_TOL, EigenMode,
+                           approx_eigenvalues, coupling_matrix, delta_omega_bic,
                            delta_phi_bic, eigenmode_sweep, eigenmodes,
                            lamb_shift, local_coupling, min_decay, se_spectrum,
                            spectrum_peaks)
@@ -132,6 +135,145 @@ def test_label_continuity_along_sweep():
             mate = next(m for m in prev if m.label == mode.label)
             assert abs(np.vdot(mate.vector, mode.vector)) > 0.9
         prev = modes
+
+
+# ---------------------------------------------------------------------------
+# stacked sweep against the per-matrix reference
+# ---------------------------------------------------------------------------
+
+def _match_to_previous(vecs, previous):
+    """Reference: greedy max-|overlap| assignment of new columns to previous modes."""
+    overlaps = np.abs(np.array([m.vector for m in previous]).conj() @ vecs)
+    order = [-1] * len(previous)
+    taken = set()
+    for prev_i in np.argsort(-overlaps.max(axis=1)):
+        for cand in np.argsort(-overlaps[prev_i]):
+            if cand not in taken:
+                order[prev_i] = int(cand)
+                taken.add(int(cand))
+                break
+    return order
+
+
+def reference_eigenmodes(m, previous=None):
+    """Reference: one matrix at a time, labels matched to `previous`."""
+    m = np.asarray(m, dtype=complex)
+    vals, vecs = np.linalg.eig(m)
+    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+    n = len(vals)
+    degenerate = [False] * n
+    scale = max(1.0, np.abs(vals).max())
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(vals[i] - vals[j]) > max(1e-10, DEFECT_EIGVAL_TOL * scale):
+                continue
+            if 1.0 - abs(np.vdot(vecs[:, i], vecs[:, j])) > DEFECT_OVERLAP_TOL:
+                continue
+            degenerate[i] = degenerate[j] = True
+            lam = 0.5 * (vals[i] + vals[j])
+            gen, *_ = np.linalg.lstsq(m - lam * np.eye(n), vecs[:, i], rcond=None)
+            norm = np.linalg.norm(gen)
+            if norm > 0:
+                vecs[:, j] = gen / norm
+    if previous is None:
+        order, labels = list(np.argsort(vals.real)), list(range(n))
+    else:
+        order, labels = _match_to_previous(vecs, previous), [m.label for m in previous]
+    modes = []
+    for lab, col in zip(labels, order):
+        v = vecs[:, col]
+        hop = np.abs(v) ** 2
+        modes.append(EigenMode(value=complex(vals[col]), vector=v, hopfield=hop / hop.sum(),
+                               label=lab, degenerate=degenerate[col]))
+    return modes
+
+
+def reference_sweep(matrices):
+    out, prev = [], None
+    for m in matrices:
+        prev = reference_eigenmodes(m, prev)
+        out.append(prev)
+    return out
+
+
+def assert_same_modes(got, want):
+    assert len(got) == len(want)
+    for point_got, point_want in zip(got, want):
+        assert len(point_got) == len(point_want)
+        for a, b in zip(point_got, point_want):
+            assert (a.label, a.value, a.degenerate) == (b.label, b.value, b.degenerate)
+            assert np.array_equal(a.vector, b.vector)
+            assert np.array_equal(a.hopfield, b.hopfield)
+
+
+_AXES = {"phi_prop": (0.0, 2 * np.pi), "g": (30.0, 0.0), "omega0": (-20.0, 20.0),
+         "r_abs": (0.0, 1.0)}
+
+
+@st.composite
+def sweeps(draw):
+    """Matrices along one axis; `chiral_ep` and `reference_cavity` fix g = 0 with
+    |r| = 1 or 0, so every point (or the g and r_abs sweeps' ends) sits there."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "chiral_ep", "reference_cavity"]))
+    axis = draw(st.sampled_from(sorted(_AXES)))
+    kappa = draw(st.floats(0.5, 30.0))
+    base = dict(kappa=kappa, gamma=draw(st.sampled_from([0.0, kappa]) | st.floats(0.0, 3.0)),
+                g=draw(st.floats(0.0, 30.0)), r_abs=draw(st.sampled_from([0.0, 1.0])
+                                                           | st.floats(0.0, 1.0)),
+                phi_prop=draw(st.floats(0.0, 2 * np.pi)), omega0=draw(st.floats(-5.0, 5.0)),
+                phi_azim=tuple(draw(st.floats(0.0, 2 * np.pi)) for _ in range(n)))
+    if kind != "random":
+        base.update(g=0.0, r_abs=1.0 if kind == "chiral_ep" else 0.0)
+    grid = np.linspace(*_AXES[axis], draw(st.integers(1, 200)))
+    return [coupling_matrix(ModelParams(**{**base, axis: float(x)})) for x in grid]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweeps())
+def test_stacked_sweep_equals_per_matrix_reference(matrices):
+    assert_same_modes(eigenmode_sweep(matrices), reference_sweep(matrices))
+
+
+_TIED = ModelParams(g=1.0, kappa=20.0, gamma=20.0, r_abs=0.0, phi_azim=(0.0, 0.5, 1.0))
+_CHIRAL_EP = ModelParams(g=0.0, kappa=20.0, gamma=1.0, r_abs=1.0)
+
+
+@pytest.mark.parametrize("params, g_grid", [
+    # three qubits at g = 1, then fully degenerate at g = 0 (gamma = kappa, |r| = 0):
+    # the second point's overlap rows tie in their maxima, so the previous
+    # modes pick their columns in label order
+    (_TIED, [1.0, 0.0]),
+    # a g -> 0 approach to the chiral EP, where the last point is defective
+    (_CHIRAL_EP, np.linspace(2.0, 0.0, 41)),
+])
+def test_structured_sweeps_equal_per_matrix_reference(params, g_grid):
+    matrices = [coupling_matrix(params.replace(g=float(g))) for g in g_grid]
+    got = eigenmode_sweep(matrices)
+    assert_same_modes(got, reference_sweep(matrices))
+    assert sum(m.degenerate for m in got[-1]) == (2 if params.r_abs == 1.0 else 0)
+
+
+def test_empty_sweep_is_empty():
+    assert eigenmode_sweep([]) == []
+    assert eigenmode_sweep(m for m in []) == []
+
+
+def test_sweep_accepts_a_generator():
+    dphis = np.linspace(0.0, np.pi, 7)
+    matrices = [coupling_matrix(ep(float(d))) for d in dphis]
+    assert_same_modes(eigenmode_sweep(m for m in matrices), eigenmode_sweep(matrices))
+
+
+def test_one_point_sweep_is_eigenmodes():
+    m = coupling_matrix(ep(1.3, gamma=0.4))
+    assert_same_modes(eigenmode_sweep([m]), [eigenmodes(m)])
+    assert [mode.label for mode in eigenmodes(m)] == [0, 1, 2]
+
+
+def test_mixed_shapes_raise():
+    with pytest.raises(ValueError):
+        eigenmode_sweep([coupling_matrix(ep(0.0)), coupling_matrix(ep(0.0), n_qubits=2)])
 
 
 # ---------------------------------------------------------------------------
