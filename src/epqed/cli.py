@@ -34,6 +34,7 @@ frequency-like output columns are written back in eV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -501,7 +502,10 @@ def run_reproduce(figure: str, out_dir: Path) -> bool:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one
+    (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="epqed",
         description="Quantum emitter + chiral-EP cavity simulation pipelines")

@@ -81,12 +81,6 @@ def spost(b):
     return sprepost(np.eye(b.shape[0]), b)
 
 
-def lindblad_dissipator(op):
-    """L[O]rho = O rho O^dag - {O^dag O, rho}/2 as a CSR superoperator."""
-    odo, eye = op.conj().T @ op, np.eye(len(op))
-    return _kron_sum([(1.0, op.conj(), op), (-0.5, eye, odo), (-0.5, odo.T, eye)], len(op))
-
-
 def _require_fits(nbytes: int, what: str):
     """Raise MemoryLimitError if an allocation of nbytes exceeds physical memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

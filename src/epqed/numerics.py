@@ -1,11 +1,22 @@
 """Numerical helpers shared across modules: the exact propagator of the
-linear, time-independent generators and small curve utilities."""
+linear, time-independent generators, its numpy [13/13] Pade exponential
+`expm` (so dense propagation stays on numpy's BLAS; see README, "BLAS") and
+small curve utilities."""
 from __future__ import annotations
 
 import numpy as np
 
 
 DENSE_EXPM_MAX_DIM = 256   # above this, propagate with expm_multiply on CSR
+
+# [13/13] Pade coefficients b_0..b_13 of exp, and the 1-norm theta_13 up to which
+# the approximant is accurate to double-precision unit roundoff (Higham, SIAM
+# J. Matrix Anal. Appl. 26, 1179 (2005))
+_PADE13 = (64764752532480000., 32382376266240000., 7771770303897600.,
+           1187353796428800., 129060195264000., 10559470521600.,
+           670442572800., 33522128640., 1323241920., 40840800., 960960.,
+           16380., 182., 1.)
+_THETA13 = 5.371920351148152
 
 
 def distinct_steps(t_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -25,25 +36,23 @@ def propagate(a, x0, t_grid) -> np.ndarray:
     """Samples x(t_k) = exp(a (t_k - t_0)) x0 of dx/dt = a x, shape (len(t_grid), n).
 
     a is a dense array or a scipy.sparse matrix.  Exact for any constant a,
-    defective ones included.  Up to DENSE_EXPM_MAX_DIM, one
-    scaling-and-squaring exponential S = exp(a dt) per distinct spacing (on a
-    dense copy of a sparse a); a grid with a single spacing is then sampled in
+    defective ones included.  Up to DENSE_EXPM_MAX_DIM, one numpy Pade
+    exponential S = expm(a dt) per distinct spacing (on a dense copy of a
+    sparse a); a grid with a single spacing is then sampled in
     blocks by uniform_powers (about 2 sqrt(len(t_grid)) matrix products), any
     other grid by a matrix-vector product per interval.  Above it, Al-Mohy and
     Higham's expm_multiply per interval on a as CSR.
     """
-    import scipy.linalg   # imported on use, to keep `import epqed` light
-
     steps, index = distinct_steps(t_grid)
     dense = a.shape[0] <= DENSE_EXPM_MAX_DIM
     if dense:
         # duck-typed, so dense callers do not import scipy.sparse (1.5 MiB)
         a = a.toarray() if hasattr(a, "toarray") else np.asarray(a, dtype=complex)
-        step_maps = [scipy.linalg.expm(a * dt) for dt in steps]
+        step_maps = [expm(a * dt) for dt in steps]
         if len(step_maps) == 1:
             return uniform_powers(step_maps[0], x0, len(index) + 1)
     else:
-        import scipy.sparse.linalg
+        import scipy.sparse.linalg   # imported on use, to keep `import epqed` light
 
         a = scipy.sparse.csr_matrix(a, dtype=complex)   # no copy for a complex CSR a
     out = np.empty((len(index) + 1, a.shape[0]), dtype=complex)
@@ -52,6 +61,33 @@ def propagate(a, x0, t_grid) -> np.ndarray:
         out[k + 1] = (step_maps[i] @ out[k] if dense
                       else scipy.sparse.linalg.expm_multiply(a * steps[i], out[k]))
     return out
+
+
+def expm(a) -> np.ndarray:
+    """exp(a) of a square matrix: the [13/13] Pade approximant with scaling and squaring.
+
+    a is scaled by 2^-s, s = ceil(log2(|a|_1 / theta_13)) (none at |a|_1 <=
+    theta_13), so that r(b) = (v - u)^-1 (v + u), with u odd and v even in
+    b = a 2^-s, equals exp(b) to unit roundoff; r is then squared s times
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  numpy only, so
+    every product runs on numpy's BLAS.
+    """
+    a = np.asarray(a)
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a * 2.0**-squarings
+    b, eye = _PADE13, np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
 
 
 def uniform_powers(step_map, x0, n_samples: int) -> np.ndarray:
@@ -99,13 +135,11 @@ def van_loan_integral(a, k, dt: float) -> np.ndarray:
     (Van Loan, IEEE TAC 23, 395 (1978)).  F1 grows where a decays, so h =
     dt/2^s with |a h| <= 1/2, doubled s times: Q <- Q + F2^dag Q F2, F2 <- F2^2.
     """
-    import scipy.linalg
-
     n = a.shape[0]
     scale = np.abs(a).sum(axis=0).max() * dt
     doublings = int(np.ceil(np.log2(scale / 0.5))) if scale > 0.5 else 0
     block = np.block([[-a.conj().T, k], [np.zeros_like(a), a]])
-    e = scipy.linalg.expm(block * (dt / 2**doublings))
+    e = expm(block * (dt / 2**doublings))
     f, q = e[n:, n:], e[n:, n:].conj().T @ e[:n, n:]
     for _ in range(doublings):
         q = q + f.conj().T @ q @ f

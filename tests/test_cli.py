@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epqed import spectra
-from epqed.cli import main, parse_sweep
+from epqed.cli import DEFAULTS, build_parser, main, parse_sweep
 from epqed.errors import ConfigError
 from epqed.ldos import lorentzian_model
 
@@ -39,6 +39,18 @@ def test_output_is_deterministic(tmp_path):
         assert main(["spectrum", "--set", "delta_phi=3.14159", "--g", "10",
                      "--out", str(out)]) == 0
     assert (a / "spectrum.csv").read_bytes() == (b / "spectrum.csv").read_bytes()
+
+
+def test_one_parser_serves_every_call_without_carrying_state(tmp_path):
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["dynamics", "--set", "t_max=2.0", "--set", "t_points=101",
+                 "--g", "10", "--out", str(first)]) == 0
+    assert main(["dynamics", "--set", "t_points=51", "--out", str(second)]) == 0
+    cfg = json.loads((second / "dynamics.json").read_text())["config"]
+    assert (cfg["t_points"], cfg["t_max"], cfg["g"]) == (51, DEFAULTS["t_max"], DEFAULTS["g"])
+    args = build_parser().parse_args(["dynamics"])
+    assert args.set is None and args.g is None and args.out == "."
 
 
 def test_rerun_from_sidecar_reproduces_file(tmp_path):

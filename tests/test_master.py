@@ -15,10 +15,16 @@ from epqed.hilbert import SpaceLayout, cavity_ops, product_ket, qubit_lowering
 from epqed import master
 from epqed.blockade import detuning_derivative
 from epqed.master import (DensityMatrix, Liouvillian, SteadyStateSolver, build_liouvillian,
-                          convergence_check, evolve, lindblad_dissipator, spost,
-                          spre, sprepost, steady_state, two_time_correlation,
-                          unvectorize, vacuum_state, vectorize)
+                          convergence_check, evolve, spost, spre, sprepost, steady_state,
+                          two_time_correlation, unvectorize, vacuum_state, vectorize)
 from epqed.params import DriveSpec, ModelParams
+
+
+def lindblad_dissipator(op):
+    """L[O]rho = O rho O^dag - {O^dag O, rho}/2 as a CSR superoperator (reference)."""
+    odo, eye = op.conj().T @ op, np.eye(len(op))
+    return master._kron_sum([(1.0, op.conj(), op), (-0.5, eye, odo), (-0.5, odo.T, eye)],
+                            len(op))
 
 
 def _single_photon_L(layout):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import scipy.linalg
 from hypothesis import given, settings
@@ -7,7 +12,9 @@ from numpy.testing import assert_allclose
 from epqed.dynamics import amplitude_evolve, excited_qubit_state
 from epqed.hilbert import SpaceLayout
 from epqed.master import build_liouvillian, vacuum_state, vectorize
-from epqed.numerics import DENSE_EXPM_MAX_DIM, distinct_steps, propagate, uniform_powers
+from epqed import numerics
+from epqed.numerics import (DENSE_EXPM_MAX_DIM, distinct_steps, expm, propagate,
+                            uniform_powers)
 from epqed.params import DriveSpec, ModelParams
 from epqed.spectra import coupling_matrix
 
@@ -27,6 +34,93 @@ def loop_oracle(step_map, x0, n):
 def decaying_generator(rng, dim):
     a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(dim)
     return a - (np.abs(np.linalg.eigvals(a).real).max() + 0.1) * np.eye(dim)
+
+
+def expm_error(a):
+    """Largest entry error of numerics.expm against scipy.linalg.expm, relative to its
+    largest entry.
+
+    scipy (1.17) squares a triangular matrix with the superdiagonal rewritten
+    from a 2x2 formula that loses every digit when neighbouring diagonal
+    entries differ by rounding (0.19 off on a g = 0 Liouvillian with a qubit
+    at kappa t = 1), so the reference exponentiates a symmetric permutation
+    of a, which is exact and, above 2 x 2, not triangular.
+    """
+    perm = np.random.default_rng(len(a)).permutation(len(a))
+    ref = np.empty_like(a, dtype=complex)
+    ref[np.ix_(perm, perm)] = scipy.linalg.expm(a[np.ix_(perm, perm)])
+    return np.abs(expm(a) - ref).max() / np.abs(ref).max()
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       log_norm=st.floats(-3.0, np.log10(300.0)))
+@settings(max_examples=80, deadline=None)
+def test_expm_matches_scipy_on_random_matrices(seed, n, log_norm):
+    # 1-norms up to 300 take up to 6 squarings.  A 1 x 1 a near -300 loses up to
+    # 1.2e-12: exp(2^-s a) ~ e^-5.4 cancels in v + u and each squaring doubles
+    # that error (scipy exponentiates a 1 x 1 a by np.exp)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a *= 10.0**log_norm / np.abs(a).sum(axis=0).max()
+    assert expm_error(a) <= (2e-12 if n == 1 else 1e-12)
+
+
+@given(kappa=st.floats(0.5, 50.0), phi=st.floats(-np.pi, np.pi), t=st.floats(1e-3, 100.0))
+@settings(max_examples=40, deadline=None)
+def test_expm_matches_scipy_at_the_chiral_ep(kappa, phi, t):
+    # g = 0, |r| = 1: the cavity block of M is a defective 2x2 Jordan block; alone,
+    # it is taken to kappa t = 150, where it has decayed by e^-75 and needs 6 squarings
+    m = coupling_matrix(ModelParams(g=0.0, kappa=kappa, gamma=1.0, phi_prop=phi), 1)
+    block = m[:2, :2]
+    assert np.abs(block - m[0, 0] * np.eye(2)).max() > 0 and block[0, 1] == 0
+    assert expm_error(-1j * m * t) <= 1e-12
+    assert expm_error(-1j * block * min(t, 150.0 / kappa)) <= 1e-12
+
+
+@given(delta_phi=st.floats(-np.pi, np.pi), g=st.floats(0.0, 20.0), kappa=st.floats(0.5, 50.0),
+       gamma=st.floats(0.0, 10.0), r_abs=st.floats(0.0, 1.0), amplitude=st.floats(0.0, 2.0),
+       layout=st.sampled_from([SpaceLayout(0, 2), SpaceLayout(0, 3), SpaceLayout(1, 2),
+                               SpaceLayout(1, 3, max_excitations=2)]),
+       log_norm=st.floats(-3.0, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_expm_matches_scipy_on_small_liouvillians(delta_phi, g, kappa, gamma, r_abs,
+                                                  amplitude, layout, log_norm):
+    # 1-norms up to 1e3 take up to 8 squarings
+    p = ModelParams.from_delta_phi(delta_phi, g=g, kappa=kappa, gamma=gamma, r_abs=r_abs)
+    drive = DriveSpec(omega_drive=0.3, amplitude=amplitude) if amplitude > 0 else None
+    a = build_liouvillian(p, layout, drive=drive).matrix
+    assert a.shape[0] <= 81
+    assert expm_error(a * (10.0**log_norm / np.abs(a).sum(axis=0).max())) <= 1e-12
+
+
+def test_dense_propagation_does_not_load_scipy_linalg():
+    # numpy's and scipy's OpenBLAS keep separate thread pools; dense propagation
+    # must stay on numpy's
+    code = """
+import sys
+import numpy as np
+from epqed.dynamics import amplitude_evolve, excited_qubit_state, trapped_population
+from epqed.hilbert import SpaceLayout, cavity_ops
+from epqed.master import build_liouvillian, evolve, two_time_correlation, vacuum_state
+from epqed.numerics import DENSE_EXPM_MAX_DIM
+from epqed.params import DriveSpec, ModelParams
+
+p = ModelParams.from_delta_phi(0.0, g=5.0, kappa=20.0, gamma=1.0)
+amplitude_evolve(p, excited_qubit_state(1), np.linspace(0.0, 1.0, 11))
+amplitude_evolve(p, excited_qubit_state(1), np.array([0.0, 0.1, 0.3]))
+trapped_population(ModelParams.from_delta_phi(0.0, g=5.0, kappa=20.0, gamma=0.0))
+lay = SpaceLayout(1, 3, max_excitations=2)
+lv = build_liouvillian(p, lay, drive=DriveSpec(omega_drive=0.0, amplitude=0.5))
+assert lv.generator.shape[0] <= DENSE_EXPM_MAX_DIM
+rho = evolve(lv, vacuum_state(lay), np.linspace(0.0, 0.5, 6))[-1]
+c_l = cavity_ops(lay)[0]
+two_time_correlation(lv, rho, c_l.conj().T, c_l, np.linspace(0.0, 0.5, 6))
+print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(numerics.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 grids = st.one_of(
