@@ -378,9 +378,7 @@ def _unit(col: str, ev_mode: bool) -> str:
         return "[1/gamma0]"
     if not _freq_like(col):
         return "[1]"
-    if ev_mode:
-        return "[eV]"
-    return "[1]" if col in _EV_KEYS and not col.startswith(_FREQ_COLS) else "[gamma0]"
+    return "[eV]" if ev_mode else "[gamma0]"
 
 
 def write_csv(path: Path, columns: dict, cfg: dict, experiment: str):

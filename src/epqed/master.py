@@ -1,21 +1,16 @@
 """Liouvillian of the extended cascaded master equation and its solvers.
 
-H holds the Jaynes-Cummings couplings of the qubit(s) to both CCW modes
-(position phases e^{-+i phi_i}) and the optional drive.  With decay
-gamma L[sm_i], kappa L[c_L], kappa L[c_R] and the unidirectional mirror-mediated
-term kappa |r| (e^{i phi} [c_L rho, c_R^dag] + e^{-i phi} [c_R, rho c_L^dag]),
-which feeds the left mode's output into the right mode without backaction,
-the equation reads drho/dt = K rho + rho K^dag + sum w A rho B^dag with
+The model is defined once, by the single-excitation matrix M of
+`spectra.coupling_matrix` over the modes a = (c_L, c_R, sm_1 .. sm_n); the
+equation is quadratic in them, so with the frame frequency f and a drive
+Omega on mode c_d it reads drho/dt = K rho + rho K^dag + sum_ij G_ij a_j rho a_i^dag,
 
-    K = -iH - [kappa (n_L + n_R) + gamma sum_i sm_i^dag sm_i]/2 - kappa |r| e^{i phi} c_R^dag c_L
+    K = -i sum_ij (M - f)_ij a_i^dag a_j - i Omega (c_d + c_d^dag),   G = i (M - M^dag).
 
-and the jump pairs (A, B, w): (c_L, c_L, kappa), (c_R, c_R, kappa), (sm_i, sm_i, gamma),
-(c_L, c_R, kappa |r| e^{i phi}) and (c_R, c_L, kappa |r| e^{-i phi}).  Vectorization
-is column-stacking, vec(A rho B) = (B^T kron A) vec(rho), so the generator is
-L = I kron K + conj(K) kron I + sum w conj(B) kron A, assembled in one pass.
-Undriven problems are generated in the frame rotating at omega_c; driven ones
-in the frame rotating at the drive frequency, so the superoperator is always
-time independent.
+G holds the decays and the cascaded feed kappa |r| e^{i phi} c_L rho c_R^dag + h.c.
+(Carmichael, PRL 70, 2273 (1993)).  With column stacking, vec(A rho B) =
+(B^T kron A) vec(rho), L = I kron K + conj(K) kron I + sum_ij G_ij conj(a_i) kron a_j.
+Undriven problems rotate at f = omega_c, driven ones at the drive frequency.
 """
 from __future__ import annotations
 
@@ -25,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import hilbert
+from . import hilbert, spectra
 from .errors import (AccuracyError, BuildError, DegenerateSteadyStateError,
                      MemoryLimitError)
 from .hilbert import SpaceLayout
@@ -176,27 +171,25 @@ def build_liouvillian(params: ModelParams, layout: SpaceLayout,
         frame = drive.omega_drive if drive is not None else params.omega_c
 
     c_l, c_r = hilbert.cavity_ops(layout)
-    h = (params.omega_c - frame) * (c_l.conj().T @ c_l + c_r.conj().T @ c_r)
-    jumps = [(params.kappa, c_l, c_l), (params.kappa, c_r, c_r)]   # (w, A, B): w A rho B^dag
-    omega0, phi = params.omega0_list(n), params.phi_azim_list(n)
-    for i in range(n):
-        sm = hilbert.qubit_lowering(layout, i)
-        h = h + (omega0[i] - frame) * (sm.conj().T @ sm)
-        for c, ph in ((c_l, np.exp(-1j * phi[i])), (c_r, np.exp(1j * phi[i]))):
-            h = h + params.g * (ph * (c.conj().T @ sm) + np.conj(ph) * (sm.conj().T @ c))
-        jumps.append((params.gamma, sm, sm))
+    ops = [c_l, c_r] + [hilbert.qubit_lowering(layout, i) for i in range(n)]
+    m = spectra.coupling_matrix(params, n)
+    gen = m - frame * np.eye(n + 2)
+    # sum_i (M - f)_ii a_i^dag a_i from the integer occupations (the levels in M's order),
+    # each mode's counted under the first mode of equal entry, so equal energies stay equal
+    d = np.diag(gen)
+    to_first = (d[:, None] == d).argmax(axis=0)[:, None] == np.arange(n + 2)
+    occupations = layout.levels[:, [layout.cavity_L, layout.cavity_R, *range(n)]]
+    k = np.diag(-1j * (occupations @ to_first @ d))
+    for i, j in zip(*np.nonzero(gen - np.diag(d))):
+        k += -1j * gen[i, j] * (ops[i].conj().T @ ops[j])
     if drive is not None:
         c_d = c_l if drive.target == "cavity_L" else c_r
-        h = h + drive.amplitude * (c_d + c_d.conj().T)
-
-    k = -1j * h - 0.5 * sum(w * (a.conj().T @ a) for w, a, _ in jumps)
-    if params.r_abs > 0.0 and params.kappa > 0.0:
-        k_r = params.kappa * params.r_abs * np.exp(1j * params.phi_prop)
-        k = k - k_r * (c_r.conj().T @ c_l)
-        jumps += [(k_r, c_l, c_r), (np.conj(k_r), c_r, c_l)]
+        k -= 1j * drive.amplitude * (c_d + c_d.conj().T)
+    rates = 1j * (m - m.conj().T)
     eye = np.eye(layout.dim)
     lmat = _kron_sum([(1.0, eye, k), (1.0, k.conj(), eye)]
-                     + [(w, b.conj(), a) for w, a, b in jumps if w != 0], layout.dim)
+                     + [(rates[i, j], ops[i].conj(), ops[j]) for i, j in zip(*np.nonzero(rates))],
+                     layout.dim)
     return Liouvillian(generator=lmat, layout=layout, params=params, drive=drive, frame=frame)
 
 

@@ -44,10 +44,12 @@ class EigenMode:
 
 
 def coupling_matrix(params: ModelParams, n_qubits: int | None = None) -> np.ndarray:
-    """Non-Hermitian matrix of the single-excitation amplitude equations.
+    """Non-Hermitian matrix M of the single-excitation amplitude equations.
 
     Component order (c_L, c_R, sm_1 .. sm_n); the only asymmetric entry is
     the unidirectional feed (c_R <- c_L) = -i kappa |r| e^{i phi_prop}.
+    M is the single definition of the model: `master.build_liouvillian`
+    takes every coupling and decay of the full master equation from it.
     """
     n = n_qubits if n_qubits is not None else params.n_qubits
     omega0 = params.omega0_list(n)

@@ -256,7 +256,7 @@ def test_sweep_failed_point_is_nan_row_and_recorded(tmp_path, capsys):
     rc = main(["trapping", "--sweep", "g=0:40:5", "--kappa", "20", "--out", str(tmp_path)])
     assert rc == 0
     header, data = read_csv(tmp_path / "trapping.csv")
-    assert header == ["g[1]", "p_qubit[1]", "p_cavity_L[1]", "p_cavity_R[1]", "converged[1]"]
+    assert header == ["g[gamma0]", "p_qubit[1]", "p_cavity_L[1]", "p_cavity_R[1]", "converged[1]"]
     assert np.isnan(data[0, 1:]).all() and np.isfinite(data[1:]).all()
     errors = json.loads((tmp_path / "trapping.json").read_text())["errors"]
     assert errors == [[0.0, "ValueError: g and kappa must be positive"]]

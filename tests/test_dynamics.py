@@ -11,7 +11,7 @@ from epqed.dynamics import (amplitude_evolve, concurrence_phase_scan,
                             rabi_peak_envelope, steady_populations_analytic,
                             trapped_population)
 from epqed.errors import RateUndefinedError
-from epqed.hilbert import SpaceLayout, cavity_ops, product_ket, qubit_lowering
+from epqed.hilbert import SpaceLayout, product_ket
 from epqed.master import DensityMatrix, build_liouvillian, evolve
 from epqed.params import ModelParams
 from epqed.spectra import delta_omega_bic, delta_phi_bic
@@ -40,19 +40,38 @@ def test_peak_transfer_population():
     assert series.cavity_R.max() > 3 * dp.cavity_R.max()
 
 
-def test_matches_full_master_equation():
-    p = ep(np.pi)
-    t = np.linspace(0.0, 1.0, 21)
-    amp = amplitude_evolve(p, excited_qubit_state(1), t, step=5e-5)
-    lay = SpaceLayout(1, 2)
-    lv = build_liouvillian(p, lay)
-    rho0 = DensityMatrix.from_ket(product_ket(lay, (1,), 0, 0))
-    run = evolve(lv, rho0, t, step=5e-5)
-    c_l, c_r = cavity_ops(lay)
-    sm = qubit_lowering(lay, 0)
-    assert np.abs(run.expect(sm.conj().T @ sm).real - amp.qubit()).max() < 1e-8
-    assert np.abs(run.expect(c_l.conj().T @ c_l).real - amp.cavity_L).max() < 1e-8
-    assert np.abs(run.expect(c_r.conj().T @ c_r).real - amp.cavity_R).max() < 1e-8
+one_excitation_models = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.builds(ModelParams,
+              omega0=st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n, unique=True)
+              .map(tuple),
+              omega_c=st.floats(-5.0, 5.0),
+              gamma=st.just(0.0) | st.floats(0.1, 5.0),
+              kappa=st.floats(0.5, 30.0),
+              g=st.floats(0.1, 10.0),
+              r_abs=st.floats(0.0, 1.0),
+              phi_prop=st.floats(-np.pi, np.pi),
+              phi_azim=st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n, unique=True)
+              .map(tuple)),
+    st.lists(st.complex_numbers(max_magnitude=1.0), min_size=n + 2, max_size=n + 2)
+    .filter(lambda p0: np.linalg.norm(p0) > 0.1)))
+
+
+@given(model=one_excitation_models)
+@settings(max_examples=40, deadline=None)
+def test_matches_full_master_equation(model):
+    # the one-excitation block of rho(t) is p(t) p(t)^dag, coherences included
+    n, p, p0 = model
+    p0 = np.array(p0) / np.linalg.norm(p0)
+    t = np.linspace(0.0, 1.0, 11)
+    amp = amplitude_evolve(p, p0, t).amplitudes
+    lay = SpaceLayout(n, 2, max_excitations=1)
+    vac = (0,) * n
+    kets = np.array([product_ket(lay, vac, 1, 0), product_ket(lay, vac, 0, 1)]
+                    + [product_ket(lay, tuple(int(j == i) for j in range(n))) for i in range(n)]).T
+    run = evolve(build_liouvillian(p, lay), DensityMatrix.from_ket(kets @ p0), t)
+    block = np.array([kets.T @ s.entries @ kets for s in run])
+    assert np.abs(block - np.einsum("ti,tj->tij", amp, amp.conj())).max() <= 1e-10
 
 
 def test_norm_bookkeeping():

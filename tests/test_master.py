@@ -411,12 +411,15 @@ random_models = st.builds(
     st.floats(0.0, 2.0), st.sampled_from(["cavity_L", "cavity_R"]))
 
 
-# random_models, also undriven, in an explicit frame, and with kappa = 0 at |r| > 0
+# random_models, also undriven, in an explicit frame, with kappa = 0 at |r| > 0, and
+# with gamma = 0 (the bound-state regime, where the qubit decay rates drop out)
 generator_models = st.builds(
-    lambda model, zero_kappa, undriven, frame: (
-        model[0], model[1].replace(kappa=0.0) if zero_kappa else model[1],
+    lambda model, zero_kappa, zero_gamma, undriven, frame: (
+        model[0], model[1].replace(kappa=0.0 if zero_kappa else model[1].kappa,
+                                   gamma=0.0 if zero_gamma else model[1].gamma),
         None if undriven else model[2], frame),
-    random_models, st.booleans(), st.booleans(), st.none() | st.floats(-10.0, 10.0))
+    random_models, st.booleans(), st.booleans(), st.booleans(),
+    st.none() | st.floats(-10.0, 10.0))
 
 
 @given(model=generator_models)
