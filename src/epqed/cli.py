@@ -282,7 +282,7 @@ def _exp_trapping(cfg: dict):
     summary = {"p_qubit": float(plat.components[2]),
                "p_cavity_L": float(plat.components[0]),
                "p_cavity_R": float(plat.components[1]),
-               "converged": bool(plat.converged)}
+               "converged": bool(plat.converged), "variance": plat.variance}
     cols = {key: np.array([float(summary[key])])
             for key in ("p_cavity_L", "p_cavity_R", "p_qubit", "converged")}
     return {"trapping": cols}, summary
@@ -463,6 +463,8 @@ def run(experiment: str, cfg: dict, sweep=None,
         extra["basis"] = (
             _each_point(values, lambda v: _solved_basis(_point_config(cfg, name, v)))[0]
             if sweep is not None and name == "fock_cutoff" else _solved_basis(cfg))
+    if experiment == "trapping" and sweep is not None:   # to the sidecar, not the tables
+        summary["variance"] = [r.pop("variance") if r else None for r in rows]
     if sweep is not None:
         tables = {experiment: _sweep_columns(name, values, rows)}
 

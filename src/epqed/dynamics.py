@@ -2,13 +2,14 @@
 
 Everything here lives in the one-excitation sector: the state is the
 amplitude vector p = (<c_L>, <c_R>, <sm_1>, ...), evolved as dp/dt = -i M p
-in the frame rotating at omega_c by the exact propagator, with the leaked
-population split into the waveguide channel (kappa) and the free-space
+in the frame rotating at omega_c by the exact propagator; the leaked population
+is split on first read into the waveguide channel (kappa) and the free-space
 channel (gamma) by exact per-step integrals of the loss rates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +32,12 @@ def excited_qubit_state(n_qubits: int, index: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PopulationSeries:
-    """Amplitude trajectories plus per-channel leaked population."""
+    """Amplitude trajectories plus per-channel leaked population, computed on first read."""
 
     times: np.ndarray
     amplitudes: np.ndarray      # shape (T, n+2), order (c_L, c_R, qubits...)
-    leaked_kappa: np.ndarray
-    leaked_gamma: np.ndarray
+    generator: np.ndarray       # -i (M - omega_c)
+    loss: np.ndarray            # i (M - M^dag): p^dag loss p is the total loss rate
 
     @property
     def populations(self) -> np.ndarray:
@@ -53,10 +54,37 @@ class PopulationSeries:
     def qubit(self, i: int = 0) -> np.ndarray:
         return self.populations[:, 2 + i]
 
+    # population leaked up to each time into the waveguide (kappa) and the
+    # free-space (gamma) channel; both are computed together on first read
+    leaked_kappa = property(lambda self: self._leaked[0])
+    leaked_gamma = property(lambda self: self._leaked[1])
+
     @property
     def total(self) -> np.ndarray:
         """Bookkeeping sum: populations + both leaked channels."""
         return self.populations.sum(axis=1) + self.leaked_kappa + self.leaked_gamma
+
+    @cached_property
+    def _leaked(self) -> np.ndarray:
+        # the qubit diagonals of the loss rate p^dag i(M - M^dag) p are the
+        # free-space channel; the rest is the waveguide output of the cascade,
+        # kappa (n_L + n_R) plus the interference of the two emission paths at
+        # the mirror port, 2 kappa |r| Re[e^{i phi} p_L p_R*]
+        k_gamma = np.zeros_like(self.loss)
+        k_gamma[2:, 2:] = np.diag(np.diag(self.loss)[2:])
+        steps, index = distinct_steps(self.times)
+        # Re(p^dag Q p) = u^T R(Q) u for u = (Re p_0, Im p_0, Re p_1, ...), a view
+        # of each interval's start, and R(Q) the real form of Q: no copy of the
+        # samples where one spacing serves every interval
+        u = self.amplitudes[:-1].view(float)
+        leaked = np.zeros((2, len(self.times)))   # per-interval increments, summed below
+        for i, dt in enumerate(steps):
+            q = np.array([van_loan_integral(self.generator, k, dt)
+                          for k in (self.loss - k_gamma, k_gamma)])
+            r = np.kron(q.real, np.eye(2)) + np.kron(q.imag, [[0.0, -1.0], [1.0, 0.0]])
+            rows = slice(None) if len(steps) == 1 else np.flatnonzero(index == i)
+            leaked[:, 1:][:, rows] = np.einsum("cki,ki->ck", u[rows] @ r, u[rows])
+        return np.cumsum(leaked, axis=1)
 
 
 def amplitude_evolve(params: ModelParams, p0: np.ndarray, t_grid,
@@ -72,29 +100,8 @@ def amplitude_evolve(params: ModelParams, p0: np.ndarray, t_grid,
         raise ValueError(f"amplitude vector has {p0.size} entries, expected {n + 2}")
     m = coupling_matrix(params, n)
     a = -1j * (m - params.omega_c * np.eye(n + 2))
-    steps, index = distinct_steps(t_grid)
-    amps = propagate(a, p0, t_grid)
-
-    # total loss rate p^dag i(M - M^dag) p: the qubit diagonals are the
-    # free-space channel; the rest is the waveguide output of the cascade,
-    # kappa (n_L + n_R) plus the interference of the two emission paths at
-    # the mirror port, 2 kappa |r| Re[e^{i phi} p_L p_R*]
-    k_total = 1j * (m - m.conj().T)
-    k_gamma = np.zeros_like(k_total)
-    k_gamma[2:, 2:] = np.diag(np.diag(k_total)[2:])
-    # Re(p^dag Q p) = u^T R(Q) u for u = (Re p_0, Im p_0, Re p_1, ...), a view
-    # of each interval's start, and R(Q) the real form of Q: no copy of the
-    # samples where one spacing serves every interval
-    u = amps[:-1].view(float)
-    leaked = np.zeros((2, len(t_grid)))   # per-interval increments, summed below
-    for i, dt in enumerate(steps):
-        q = np.array([van_loan_integral(a, k, dt) for k in (k_total - k_gamma, k_gamma)])
-        r = np.kron(q.real, np.eye(2)) + np.kron(q.imag, [[0.0, -1.0], [1.0, 0.0]])
-        rows = slice(None) if len(steps) == 1 else np.flatnonzero(index == i)
-        leaked[:, 1:][:, rows] = np.einsum("ki,cij,kj->ck", u[rows], r, u[rows])
-    np.cumsum(leaked, axis=1, out=leaked)
-    return PopulationSeries(times=t_grid, amplitudes=amps,
-                            leaked_kappa=leaked[0], leaked_gamma=leaked[1])
+    return PopulationSeries(times=t_grid, amplitudes=propagate(a, p0, t_grid),
+                            generator=a, loss=1j * (m - m.conj().T))
 
 
 def steady_populations_analytic(g: float, kappa: float) -> tuple[float, float, float]:

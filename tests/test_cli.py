@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from epqed import spectra
-from epqed.cli import DEFAULTS, build_parser, main, parse_sweep
+from epqed import dynamics, spectra
+from epqed.cli import DEFAULTS, build_parser, main, params_from_config, parse_sweep
 from epqed.errors import ConfigError
 from epqed.ldos import lorentzian_model
 
@@ -258,10 +258,23 @@ def test_sweep_failed_point_is_nan_row_and_recorded(tmp_path, capsys):
     header, data = read_csv(tmp_path / "trapping.csv")
     assert header == ["g[gamma0]", "p_qubit[1]", "p_cavity_L[1]", "p_cavity_R[1]", "converged[1]"]
     assert np.isnan(data[0, 1:]).all() and np.isfinite(data[1:]).all()
-    errors = json.loads((tmp_path / "trapping.json").read_text())["errors"]
-    assert errors == [[0.0, "ValueError: g and kappa must be positive"]]
+    sidecar = json.loads((tmp_path / "trapping.json").read_text())
+    assert sidecar["errors"] == [[0.0, "ValueError: g and kappa must be positive"]]
+    variance = sidecar["summary"]["variance"]
+    assert variance[0] is None and len(variance) == 5 and min(variance[1:]) >= 0.0
     assert capsys.readouterr().err.strip().splitlines() == [
         "epqed: 1 of 5 sweep points failed; see 'errors' in trapping.json"]
+
+
+def test_trapping_sidecar_records_plateau_variance(tmp_path):
+    assert main(["trapping", "--g", "10", "--kappa", "20", "--out", str(tmp_path)]) == 0
+    header, _ = read_csv(tmp_path / "trapping.csv")
+    assert header == ["p_cavity_L[1]", "p_cavity_R[1]", "p_qubit[1]", "converged[1]"]
+    summary = json.loads((tmp_path / "trapping.json").read_text())["summary"]
+    plat = dynamics.trapped_population(
+        params_from_config({**DEFAULTS, "g": 10.0, "kappa": 20.0, "gamma": 0.0}))
+    assert summary["variance"] == plat.variance
+    assert summary["converged"] == (plat.variance <= dynamics.PLATEAU_VAR_TOL)
 
 
 def test_eigen_sweep_failed_middle_point_keeps_labels_across_it(tmp_path, monkeypatch):

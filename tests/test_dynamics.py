@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from epqed import dynamics
 from epqed.dynamics import (amplitude_evolve, concurrence_phase_scan,
                             concurrence_series, excited_qubit_state,
                             late_decay_rate, max_concurrence,
@@ -13,8 +14,9 @@ from epqed.dynamics import (amplitude_evolve, concurrence_phase_scan,
 from epqed.errors import RateUndefinedError
 from epqed.hilbert import SpaceLayout, product_ket
 from epqed.master import DensityMatrix, build_liouvillian, evolve
+from epqed.numerics import distinct_steps, van_loan_integral
 from epqed.params import ModelParams
-from epqed.spectra import delta_omega_bic, delta_phi_bic
+from epqed.spectra import coupling_matrix, delta_omega_bic, delta_phi_bic
 
 
 def ep(delta_phi, **kw):
@@ -82,6 +84,75 @@ def test_norm_bookkeeping():
     lossy = amplitude_evolve(ep(1.3), excited_qubit_state(1), t)
     assert np.abs(lossy.total - 1.0).max() <= 1e-8
     assert lossy.leaked_gamma[-1] > 0.0
+
+
+def eager_reference_leaks(params, amps, t_grid, n):
+    """Leaked populations (kappa, gamma) of samples amps, directly: Van Loan
+    integrals of both channels per distinct spacing, and a three-operand
+    einsum over every sample."""
+    m = coupling_matrix(params, n)
+    a = -1j * (m - params.omega_c * np.eye(n + 2))
+    steps, index = distinct_steps(t_grid)
+    k_total = 1j * (m - m.conj().T)
+    k_gamma = np.zeros_like(k_total)
+    k_gamma[2:, 2:] = np.diag(np.diag(k_total)[2:])
+    u = amps[:-1].view(float)
+    leaked = np.zeros((2, len(t_grid)))
+    for i, dt in enumerate(steps):
+        q = np.array([van_loan_integral(a, k, dt) for k in (k_total - k_gamma, k_gamma)])
+        r = np.kron(q.real, np.eye(2)) + np.kron(q.imag, [[0.0, -1.0], [1.0, 0.0]])
+        rows = slice(None) if len(steps) == 1 else np.flatnonzero(index == i)
+        leaked[:, 1:][:, rows] = np.einsum("ki,cij,kj->ck", u[rows], r, u[rows])
+    np.cumsum(leaked, axis=1, out=leaked)
+    return leaked
+
+
+leak_grids = st.one_of(
+    st.builds(lambda t1, n: np.linspace(0.0, t1, n), st.floats(0.1, 3.0), st.integers(2, 80)),
+    # a few distinct spacings, each shared by several intervals
+    st.lists(st.floats(0.01, 0.3), min_size=2, max_size=4, unique=True).flatmap(
+        lambda dts: st.lists(st.sampled_from(dts), min_size=2, max_size=60)
+        .map(lambda seq: np.concatenate([[0.0], np.cumsum(seq)]))),
+    st.lists(st.floats(0.0, 3.0), min_size=2, max_size=40, unique=True)
+    .map(lambda ts: np.sort(np.array(ts)))
+    .filter(lambda t: np.diff(t).min() > 1e-6),
+)
+
+
+@given(n=st.integers(1, 3), kappa=st.just(0.0) | st.floats(0.1, 50.0),
+       gamma=st.just(0.0) | st.floats(0.1, 10.0), g=st.just(0.0) | st.floats(0.1, 20.0),
+       r_abs=st.floats(0.0, 1.0), phi=st.floats(-np.pi, np.pi),
+       phi_azim=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+       t_grid=leak_grids)
+@settings(max_examples=80, deadline=None)
+def test_lazy_leaks_match_eager_reference(n, kappa, gamma, g, r_abs, phi, phi_azim, t_grid):
+    p = ModelParams(g=g, kappa=kappa, gamma=gamma, r_abs=r_abs, phi_prop=phi,
+                    phi_azim=tuple(phi_azim[:n]))
+    series = amplitude_evolve(p, excited_qubit_state(n), t_grid, n_qubits=n)
+    ref = eager_reference_leaks(p, series.amplitudes, t_grid, n)
+    for lazy, eager in zip((series.leaked_kappa, series.leaked_gamma), ref):
+        assert np.abs(lazy - eager).max() <= 1e-14 * np.abs(eager).max()
+    assert np.abs(series.total - 1.0).max() <= 1e-9
+
+
+def test_unread_leaks_are_never_computed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("leaked populations computed although never read")
+
+    monkeypatch.setattr(dynamics, "van_loan_integral", refuse)
+    trapped_population(ep(0.0, gamma=0.0))
+    two = ModelParams.from_delta_phi(0.0, g=10.0, kappa=20.0, gamma=1.0, phi_azim=(0.0, 0.0))
+    t = np.linspace(0.0, 1.0, 201)
+    concurrence_series(two, t)
+    max_concurrence(two, t)
+    series = amplitude_evolve(ep(1.3), excited_qubit_state(1), t)
+    series.populations, series.qubit(), series.cavity_L, series.cavity_R
+
+    calls = []
+    monkeypatch.setattr(dynamics, "van_loan_integral",
+                        lambda *args: calls.append(args) or van_loan_integral(*args))
+    series.leaked_kappa, series.leaked_gamma, series.total, series.leaked_kappa
+    assert len(calls) == 2   # one per channel on the single spacing of a linspace grid
 
 
 def test_populations_depend_only_on_phase_difference():
