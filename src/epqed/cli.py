@@ -17,11 +17,11 @@ frequency) and an eigen sweep one `spectra.eigenmode_sweep` call (labels
 follow continuity along the grid).  A point that raises EpqedError or
 ValueError gives a NaN row and an entry [value, "TypeName: message"] in the
 sidecar's `errors` list, and stderr gets one line with the failure count.
-`--workers` is accepted and ignored: on a 2-core machine a process pool was
-slower than the serial loop on every sweep measured (a 25-point blockade
-sweep 2.8-3.0 s serial against 4.1-4.3 s at 2 workers; 401-point trapping
-2.7-3.1 s against 5.3-5.8 s; 401-point concurrence 2.1-2.2 s against
-4.7-5.6 s).
+`--workers` is ignored and stays only because the benchmark's workloads pass
+it: on a 2-core machine a process pool was slower than the serial loop on
+every sweep measured (a 25-point blockade sweep 2.8-3.0 s serial against
+4.1-4.3 s at 2 workers; 401-point trapping 2.7-3.1 s against 5.3-5.8 s;
+401-point concurrence 2.1-2.2 s against 4.7-5.6 s).
 
 Exit codes: 0 success (for a sweep: at least one point succeeded), 2 config
 error (a rejected parameter included), 3 numerical failure (for a sweep:
@@ -52,7 +52,6 @@ DEFAULTS: dict = {
     "delta_phi": 0.0, "omega_c": 0.0, "d0c": 0.0, "phi2_offset": 0.0,
     "fock_cutoff": 4,
     "t_max": 5.0, "t_points": 1001,
-    "step": 0.0,   # accepted and ignored: propagation is exact, older sidecars carry it
     "omega_span": 5.0, "omega_points": 1001,
     "drive_amplitude": 0.2, "drive_detuning": 0.0, "drive_target": "cavity_R",
     "measure": "cavity_L",
@@ -102,6 +101,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, tuple | None]:
             sweep = sweep or loaded.get("sweep")   # re-run from a sidecar
             loaded = loaded["config"]
             in_gamma0.update(_EV_KEYS)   # a sidecar records the resolved config
+        loaded.pop("step", None)   # the ignored step size that older configs carry
         for key, val in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r} in {args.config}")
@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep one numeric parameter")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--workers", type=int, default=1,
-                        help="ignored; sweeps run serially")
+                        help="ignored; sweeps run serially")   # the benchmark passes it
         sp.add_argument("--g", type=float, default=None)
         sp.add_argument("--kappa", type=float, default=None)
         sp.add_argument("--gamma", type=float, default=None)

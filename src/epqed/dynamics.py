@@ -4,7 +4,7 @@ Everything here lives in the one-excitation sector: the state is the
 amplitude vector p = (<c_L>, <c_R>, <sm_1>, ...), evolved as dp/dt = -i M p
 in the frame rotating at omega_c by the exact propagator; the leaked population
 is split on first read into the waveguide channel (kappa) and the free-space
-channel (gamma) by exact per-step integrals of the loss rates.
+channel (gamma) by exact per-interval integrals of the loss rates.
 """
 from __future__ import annotations
 
@@ -90,7 +90,8 @@ class PopulationSeries:
 def amplitude_evolve(params: ModelParams, p0: np.ndarray, t_grid,
                      n_qubits: int | None = None,
                      step: float | None = None) -> PopulationSeries:
-    """Propagate dp/dt = -i M p exactly (rotating frame at omega_c); step is ignored."""
+    """Propagate dp/dt = -i M p exactly (rotating frame at omega_c); step is
+    ignored, and stays only because the benchmark's workloads pass it."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly ascending")
@@ -134,13 +135,13 @@ class PlateauResult:
 
 
 def trapped_population(params: ModelParams, t_final: float | None = None,
-                       n_qubits: int = 1, n_samples: int = 2001,
-                       step: float | None = None) -> PlateauResult:
+                       n_qubits: int = 1, n_samples: int = 2001) -> PlateauResult:
     """Long-time trapped populations for an initially excited emitter (gamma = 0).
 
     Evolves to t_final = 50/min(g, kappa) and averages the last 10% of the
     window; a window variance above 1e-4 marks the plateau as not trapped.
-    Raises ValueError unless g and kappa are positive.  step is ignored.
+    Raises ValueError unless g and kappa are positive.  t_final, n_samples
+    and n_qubits stay settable until trapping is read from the spectrum of M.
     """
     if params.gamma != 0:
         raise ValueError("population trapping requires gamma = 0")
@@ -163,12 +164,11 @@ def trapped_population(params: ModelParams, t_final: float | None = None,
 # two-qubit entanglement
 # ---------------------------------------------------------------------------
 
-def concurrence_series(params: ModelParams, t_grid,
-                       step: float | None = None) -> np.ndarray:
+def concurrence_series(params: ModelParams, t_grid) -> np.ndarray:
     """C(t) = 2 |C_eg(t) C_ge*(t)| for qubit 1 initially excited.
 
     The parameters must describe two qubits (scalar omega0/phi_azim are
-    broadcast; distinct azimuthal phases are honored).  step is ignored.
+    broadcast; distinct azimuthal phases are honored).
     """
     if params.n_qubits > 2:
         raise ValueError("concurrence is implemented for exactly two qubits")
@@ -183,17 +183,16 @@ def concurrence(series: PopulationSeries) -> np.ndarray:
     return 2.0 * np.abs(c_eg) * np.abs(np.conj(c_ge))
 
 
-def max_concurrence(params: ModelParams, t_grid, step: float | None = None) -> float:
-    """max_t C(t), refined by quadratic interpolation at the discrete peak; step is ignored."""
+def max_concurrence(params: ModelParams, t_grid) -> float:
+    """max_t C(t), refined by quadratic interpolation at the discrete peak."""
     t_grid = np.asarray(t_grid, dtype=float)
     c = concurrence_series(params, t_grid)
     i = int(np.argmax(c))
     return quadratic_extremum(t_grid, c, i)[1]
 
 
-def concurrence_phase_scan(params: ModelParams, t_grid, relative_phases,
-                           step: float | None = None) -> np.ndarray:
-    """max_t C(t) as the second qubit's azimuthal phase offset is varied; step is ignored."""
+def concurrence_phase_scan(params: ModelParams, t_grid, relative_phases) -> np.ndarray:
+    """max_t C(t) as the second qubit's azimuthal phase offset is varied."""
     phi1 = params.phi_azim_list(2)[0]
     out = []
     for dphi2 in relative_phases:

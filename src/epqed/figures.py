@@ -211,12 +211,9 @@ def fig7() -> FigureResult:
     dphi = np.pi / 2.0
     p = _ep(dphi, g=g, kappa=kappa, gamma=0.0)
     d0cs = np.linspace(-40.0, 40.0, 81)
-    cavity = []
-    for d in d0cs:
-        plat = dynamics.trapped_population(p.replace(omega0=float(d)))
-        cavity.append(plat.cavity)
-    cavity = np.array(cavity)
-    plat0 = dynamics.trapped_population(p)
+    plats = [dynamics.trapped_population(p.replace(omega0=float(d))) for d in d0cs]
+    cavity = np.array([plat.cavity for plat in plats])
+    plat0 = plats[40]   # d0cs[40] is exactly 0.0: the resonant point p itself
     d_bic = spectra.delta_omega_bic(g, kappa, dphi)
     return FigureResult(
         figure="fig7",

@@ -31,6 +31,7 @@ EPSILON_0 = 8.8541878188e-12         # F/m
 HBAR_EVS = HBAR / E_CHARGE  # hbar in eV*s
 DEBYE = 1e-21 / C_LIGHT     # C*m per Debye
 TAIL_TOL = 1e-7             # neglected correlator tail, relative to J's scale 4/(pi kappa)
+FIT_MAX_ITER = 200          # Gauss-Newton iterations before a fit counts as unconverged
 
 
 @dataclass(frozen=True)
@@ -226,13 +227,13 @@ def _half_max_width(w: np.ndarray, y: np.ndarray, i_peak: int) -> float:
     return right - left
 
 
-def fit_lorentzian(samples: SpectrumSeries, max_iter: int = 200) -> FitResult:
+def fit_lorentzian(samples: SpectrumSeries) -> FitResult:
     """Extract (omega_c, kappa, g) from a sampled single-peak spectrum.
 
     Closed-form initialization (argmax, measured FWHM, peak height) followed
     by Gauss-Newton refinement with a central-difference Jacobian.  Returns
     the initialization with converged=False if refinement has not settled
-    after max_iter iterations.
+    after FIT_MAX_ITER iterations.
     """
     w = samples.omega
     y = samples.value
@@ -252,7 +253,7 @@ def fit_lorentzian(samples: SpectrumSeries, max_iter: int = 200) -> FitResult:
     p_init = p.copy()
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         resid = lorentzian_model(w, *p) - y
         jac = np.empty((len(w), 3))
         for k in range(3):

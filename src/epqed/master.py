@@ -31,6 +31,8 @@ TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 EIG_TOL = 1e-10
 TRACE_DRIFT_LIMIT = 1e-8
+KERNEL_TOL = 1e-8         # singular values below this fraction of the largest span L's kernel
+CONVERGENCE_TOL = 1e-6    # largest |<O>| deviation between cutoffs N and N + 1 that passes
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +141,10 @@ def _clean(raw: np.ndarray) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Built superoperator (CSR `generator`) with its provenance."""
+    """Built superoperator (CSR `generator`) and the layout it acts on."""
 
     generator: scipy.sparse.csr_matrix
     layout: SpaceLayout
-    params: ModelParams
-    drive: DriveSpec | None
-    frame: float
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -161,7 +160,8 @@ def build_liouvillian(params: ModelParams, layout: SpaceLayout,
     """Assemble L with vec(drho/dt) = L vec(rho) as a CSR matrix.
 
     frame overrides the rotation frequency (None = omega_drive when driven,
-    else omega_c; pass 0.0 for the lab frame).
+    else omega_c; pass 0.0 for the lab frame).  It stays for the lab-frame
+    correlator and any-frame reference checks in the tests.
     """
     n = layout.n_qubits
     if n > 0 and params.n_qubits not in (1, n):
@@ -190,7 +190,7 @@ def build_liouvillian(params: ModelParams, layout: SpaceLayout,
     lmat = _kron_sum([(1.0, eye, k), (1.0, k.conj(), eye)]
                      + [(rates[i, j], ops[i].conj(), ops[j]) for i, j in zip(*np.nonzero(rates))],
                      layout.dim)
-    return Liouvillian(generator=lmat, layout=layout, params=params, drive=drive, frame=frame)
+    return Liouvillian(generator=lmat, layout=layout)
 
 
 def _generator(lv):
@@ -228,7 +228,8 @@ class EvolutionResult:
 
 
 def evolve(lv, rho0, t_grid, step: float | None = None) -> EvolutionResult:
-    """Propagate vec(drho/dt) = L vec(rho) exactly over an ascending grid; step is ignored."""
+    """Propagate vec(drho/dt) = L vec(rho) exactly over an ascending grid;
+    step is ignored, and stays only because the benchmark's workloads pass it."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be ascending and start at t >= 0")
@@ -268,12 +269,12 @@ class SteadyStateSolver:
     residual |(L + s diag(d)) v| above 1e-10, is the dense spectrum computed
     (guarded by MemoryLimitError) to classify the failure:
     DegenerateSteadyStateError when the kernel is more than one-dimensional
-    within kernel_tol (relative singular-value threshold), e.g. for
+    within KERNEL_TOL (relative singular-value threshold), e.g. for
     gamma = 0 undriven configurations supporting bound states, else
     AccuracyError.  `residual` is the residual of the last solve.
     """
 
-    def __init__(self, lv, diagonal=None, kernel_tol: float = 1e-8):
+    def __init__(self, lv, diagonal=None):
         import scipy.sparse
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -283,7 +284,6 @@ class SteadyStateSolver:
         self.dim = int(round(np.sqrt(n2)))
         self.diagonal = (np.zeros(n2) if diagonal is None
                          else np.asarray(diagonal, dtype=complex))
-        self.kernel_tol = kernel_tol
         self.residual = np.nan
         # pattern of the trace-completed system: the trace row, then rows 1.. of L
         rows = np.concatenate([np.zeros(self.dim, dtype=np.intp),
@@ -340,7 +340,7 @@ class SteadyStateSolver:
                                     "complex array)")
         lmat = self.lmat + shift * scipy.sparse.diags(self.diagonal)
         svals = np.linalg.svd(lmat.toarray(), compute_uv=False)
-        null_dim = int(np.sum(svals <= self.kernel_tol * svals[0]))   # L = 0: all of them
+        null_dim = int(np.sum(svals <= KERNEL_TOL * svals[0]))   # L = 0: all of them
         if null_dim > 1:
             raise DegenerateSteadyStateError(
                 f"Liouvillian kernel is {null_dim}-dimensional; steady state not unique "
@@ -348,9 +348,9 @@ class SteadyStateSolver:
         raise AccuracyError(f"steady-state residual {residual:.3e} exceeds 1e-10")
 
 
-def steady_state(lv, kernel_tol: float = 1e-8) -> DensityMatrix:
+def steady_state(lv) -> DensityMatrix:
     """Solve L vec(rho) = 0 with Tr(rho) = 1: the unshifted case of SteadyStateSolver."""
-    return SteadyStateSolver(lv, kernel_tol=kernel_tol)()
+    return SteadyStateSolver(lv)()
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,8 @@ def steady_state(lv, kernel_tol: float = 1e-8) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def two_time_correlation(lv, rho, a_op: np.ndarray, b_op: np.ndarray,
-                         tau_grid, step: float | None = None) -> np.ndarray:
-    """<A(0) B(tau)> = Tr{ B exp(L tau)[rho A] } for tau ascending from 0; step is ignored."""
+                         tau_grid) -> np.ndarray:
+    """<A(0) B(tau)> = Tr{ B exp(L tau)[rho A] } for tau ascending from 0."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid[0] != 0 or np.any(np.diff(tau_grid) <= 0):
         raise ValueError("tau_grid must be strictly ascending from tau = 0")
@@ -376,15 +376,14 @@ def two_time_correlation(lv, rho, a_op: np.ndarray, b_op: np.ndarray,
 
 def convergence_check(params: ModelParams, layout: SpaceLayout, observable,
                       t_grid, drive: DriveSpec | None = None,
-                      initial_state=None, tol: float = 1e-6,
-                      step: float | None = None) -> tuple[bool, float]:
+                      initial_state=None) -> tuple[bool, float]:
     """Repeat an expectation-value trajectory at cutoff N and N+1.
 
     A layout capped at K total excitations is compared with cutoff N + 1
     capped at K + 1.  observable and initial_state are callables of the
     layout (the operator and state must be rebuilt for each truncation);
-    initial_state defaults to the vacuum; step is ignored.  Returns
-    (converged, max absolute deviation).
+    initial_state defaults to the vacuum.  Returns (deviation <=
+    CONVERGENCE_TOL, max absolute deviation).
     """
     if initial_state is None:
         initial_state = vacuum_state
@@ -396,4 +395,4 @@ def convergence_check(params: ModelParams, layout: SpaceLayout, observable,
         result = evolve(lv, initial_state(lay), t_grid)
         series.append(result.expect(observable(lay)).real)
     deviation = float(np.abs(series[0] - series[1]).max())
-    return deviation <= tol, deviation
+    return deviation <= CONVERGENCE_TOL, deviation

@@ -57,33 +57,26 @@ class ModelParams:
                 n = max(n, len(v))
         return n
 
-    def omega0_list(self, n: int | None = None) -> tuple[float, ...]:
-        vals = _as_tuple(self.omega0)
+    def _per_qubit(self, name: str, n: int | None) -> tuple[float, ...]:
+        """Field `name` as one value per qubit, a scalar broadcast to all n."""
+        vals = _as_tuple(getattr(self, name))
         n = n or self.n_qubits
         if len(vals) == 1:
             vals = vals * n
         if len(vals) != n:
-            raise ValueError(f"omega0 has {len(vals)} entries, expected {n}")
+            raise ValueError(f"{name} has {len(vals)} entries, expected {n}")
         return vals
 
+    def omega0_list(self, n: int | None = None) -> tuple[float, ...]:
+        return self._per_qubit("omega0", n)
+
     def phi_azim_list(self, n: int | None = None) -> tuple[float, ...]:
-        vals = _as_tuple(self.phi_azim)
-        n = n or self.n_qubits
-        if len(vals) == 1:
-            vals = vals * n
-        if len(vals) != n:
-            raise ValueError(f"phi_azim has {len(vals)} entries, expected {n}")
-        return vals
+        return self._per_qubit("phi_azim", n)
 
     @property
     def delta_phi(self) -> float:
         """phi_prop - 2*phi_azim of the first qubit, wrapped to [0, 2pi)."""
         return float(np.mod(self.phi_prop - 2.0 * self.phi_azim_list()[0], TWO_PI))
-
-    @property
-    def delta_0c(self) -> float:
-        """Qubit-cavity detuning omega0 - omega_c (first qubit)."""
-        return self.omega0_list()[0] - self.omega_c
 
     def replace(self, **changes) -> "ModelParams":
         return dataclasses.replace(self, **changes)

@@ -63,6 +63,27 @@ def test_rerun_from_sidecar_reproduces_file(tmp_path):
     assert (first / "dynamics.csv").read_bytes() == (again / "dynamics.csv").read_bytes()
 
 
+def test_old_configs_carrying_step_still_load(tmp_path, capsys):
+    first, again, plain = tmp_path / "first", tmp_path / "again", tmp_path / "plain"
+    assert main(["dynamics", "--set", "t_max=2.0", "--set", "t_points=101",
+                 "--g", "10", "--out", str(first)]) == 0
+    sidecar = json.loads((first / "dynamics.json").read_text())
+    assert "step" not in sidecar["config"]
+    sidecar["config"]["step"] = 0.0   # as older sidecars record it
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(sidecar))
+    assert main(["dynamics", "--config", str(old), "--out", str(again)]) == 0
+    assert (first / "dynamics.csv").read_bytes() == (again / "dynamics.csv").read_bytes()
+    assert "step" not in json.loads((again / "dynamics.json").read_text())["config"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"t_max": 2.0, "t_points": 101, "g": 10, "step": 1e-4}))
+    assert main(["dynamics", "--config", str(config), "--out", str(plain)]) == 0
+    assert (first / "dynamics.csv").read_bytes() == (plain / "dynamics.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["dynamics", "--set", "step=1e-4", "--out", str(tmp_path / "set")]) == 2
+    assert "unknown config key 'step'" in capsys.readouterr().err
+
+
 def test_blockade_sidecar_records_solved_basis_and_reruns(tmp_path):
     first, again, cut = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["blockade", "--g", "5", "--fock-cutoff", "5", "--out", str(first)]) == 0

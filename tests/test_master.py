@@ -116,7 +116,7 @@ def test_gauge_invariance_of_populations_and_correlators():
         lv = build_liouvillian(p, lay)
         res = evolve(lv, rho0, t, step=1e-4)
         pops = np.array([res.expect(op).real for op in n_ops])
-        corr = two_time_correlation(lv, res[-1], c_l.conj().T, c_r, t, step=1e-4)
+        corr = two_time_correlation(lv, res[-1], c_l.conj().T, c_r, t)
         return pops, np.abs(corr)
 
     pops0, corr0 = observables(base)
@@ -254,8 +254,7 @@ def test_cavity_field_correlator_envelope():
     lv = build_liouvillian(p, lay, frame=0.0)   # lab frame
     c_l, _ = cavity_ops(lay)
     tau = np.linspace(0.0, 2.0, 81)
-    corr = two_time_correlation(lv, _single_photon_L(lay), c_l.conj().T, c_l, tau,
-                                step=2e-4)
+    corr = two_time_correlation(lv, _single_photon_L(lay), c_l.conj().T, c_l, tau)
     assert_allclose(np.abs(corr), np.exp(-kappa * tau / 2.0), atol=1e-8)
     # lab-frame phase rotates at the cavity frequency
     assert_allclose(corr, np.exp((-1j * p.omega_c - kappa / 2.0) * tau), atol=1e-7)
@@ -268,8 +267,7 @@ def test_cross_correlator_square_lorentzian_precursor():
     lv = build_liouvillian(p, lay)
     c_l, c_r = cavity_ops(lay)
     tau = np.linspace(0.0, 3.0, 61)
-    corr = two_time_correlation(lv, _single_photon_L(lay), c_l.conj().T, c_r, tau,
-                                step=2e-4)
+    corr = two_time_correlation(lv, _single_photon_L(lay), c_l.conj().T, c_r, tau)
     assert_allclose(np.abs(corr), kappa * tau * np.exp(-kappa * tau / 2.0), atol=1e-7)
 
 
@@ -465,8 +463,7 @@ def test_sparse_steady_state_matches_dense_solve(model):
 def test_dense_view_of_huge_layout_raises_without_allocating():
     lay = SpaceLayout(2, 30)   # N^2 = 1.3e7: the dense L would take 2.7e15 bytes
     n2 = lay.dim**2
-    lv = Liouvillian(generator=scipy.sparse.csr_matrix((n2, n2), dtype=complex),
-                     layout=lay, params=ModelParams(), drive=None, frame=0.0)
+    lv = Liouvillian(generator=scipy.sparse.csr_matrix((n2, n2), dtype=complex), layout=lay)
     with pytest.raises(MemoryLimitError, match="physical memory"):
         lv.matrix
 
