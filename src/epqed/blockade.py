@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import master
-from .errors import EpqedError, StatisticsUndefinedError
+from .errors import StatisticsUndefinedError, each_point
 from .hilbert import SpaceLayout, cavity_ops
 from .params import DriveSpec, ModelParams
 
@@ -41,7 +41,7 @@ class BlockadeSweep:
     min_g2_detuning: float
     max_n_L: float
     max_n_L_detuning: float
-    errors: list[tuple[float, str]] = field(default_factory=list)
+    errors: list[list] = field(default_factory=list)   # [detuning, "TypeName: message"]
 
 
 def solve_layout(layout: SpaceLayout) -> SpaceLayout:
@@ -109,9 +109,9 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
     The generator is affine in the drive frequency (the frame rotation
     shifts its diagonal by the excitation-number difference), so the sweep
     reuses one build and one ordering (and band layout) of the steady-state
-    system, and each point only shifts its diagonal.  A point that raises
-    EpqedError or ValueError is recorded in `errors` with NaN results and
-    the sweep continues; any other exception propagates.
+    system, and each point only shifts its diagonal.  A point that fails by
+    errors.each_point's policy is recorded in `errors` with NaN results and
+    the sweep continues.
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     _check_preconditions(params, drive, layout)
@@ -122,15 +122,10 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
     solve = master.SteadyStateSolver(lv0, diagonal=detuning_derivative(layout).diagonal())
 
     c_m = _measure_ops(layout, measure)
-    results: list[BlockadeResult] = []
-    errors: list[tuple[float, str]] = []
-    for det in detuning_grid:
-        try:
-            rho = solve(det - detuning_grid[0])
-            results.append(_statistics(rho, c_m, det, solve.residual))
-        except (EpqedError, ValueError) as exc:  # collect, keep sweeping
-            errors.append((float(det), f"{type(exc).__name__}: {exc}"))
-            results.append(BlockadeResult(detuning=float(det), g2=np.nan, n_L=np.nan))
+    rows, errors = each_point(detuning_grid, lambda det: _statistics(
+        solve(det - detuning_grid[0]), c_m, det, solve.residual))
+    results = [BlockadeResult(detuning=float(det), g2=np.nan, n_L=np.nan) if r is None else r
+               for det, r in zip(detuning_grid, rows)]
 
     g2_vals = np.array([r.g2 for r in results])
     nl_vals = np.array([r.n_L for r in results])

@@ -17,11 +17,8 @@ frequency) and an eigen sweep one `spectra.eigenmode_sweep` call (labels
 follow continuity along the grid).  A point that raises EpqedError or
 ValueError gives a NaN row and an entry [value, "TypeName: message"] in the
 sidecar's `errors` list, and stderr gets one line with the failure count.
-`--workers` is ignored and stays only because the benchmark's workloads pass
-it: on a 2-core machine a process pool was slower than the serial loop on
-every sweep measured (a 25-point blockade sweep 2.8-3.0 s serial against
-4.1-4.3 s at 2 workers; 401-point trapping 2.7-3.1 s against 5.3-5.8 s;
-401-point concurrence 2.1-2.2 s against 4.7-5.6 s).
+`--workers` is ignored (sweeps run serially) and stays only because the
+benchmark's workloads pass it.
 
 Exit codes: 0 success (for a sweep: at least one point succeeded), 2 config
 error (a rejected parameter included), 3 numerical failure (for a sweep:
@@ -42,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blockade, dynamics, figures, ldos, spectra
-from .errors import ConfigError, EpqedError
+from .errors import ConfigError, EpqedError, each_point
 from .hilbert import SpaceLayout
 from .numerics import quadratic_extremum
 from .params import DriveSpec, ModelParams
@@ -53,7 +50,7 @@ DEFAULTS: dict = {
     "fock_cutoff": 4,
     "t_max": 5.0, "t_points": 1001,
     "omega_span": 5.0, "omega_points": 1001,
-    "drive_amplitude": 0.2, "drive_detuning": 0.0, "drive_target": "cavity_R",
+    "drive_amplitude": 0.2, "drive_target": "cavity_R",
     "measure": "cavity_L",
     "detuning": 0.0,
     "ldos_method": "analytic",
@@ -61,9 +58,14 @@ DEFAULTS: dict = {
     "input": "",
     "gamma0_ev": 0.0,
 }
-_EV_KEYS = ("g", "kappa", "gamma", "omega_c", "d0c", "drive_amplitude",
-            "drive_detuning", "detuning")
-_INT_KEYS = ("fock_cutoff", "t_points", "omega_points")
+_EV_KEYS = ("g", "kappa", "gamma", "omega_c", "d0c", "drive_amplitude", "detuning")
+_INT_KEYS = tuple(key for key, val in DEFAULTS.items() if isinstance(val, int))
+_STR_KEYS = tuple(key for key, val in DEFAULTS.items() if isinstance(val, str))
+_RETIRED = ("step", "drive_detuning")   # keys older configs and sidecars may carry; ignored
+# the keys with a flag of their own (--r-abs for r_abs), with the flag's help text
+_FLAGS = {"g": None, "kappa": None, "gamma": None, "r_abs": None, "delta_phi": None,
+          "d0c": "emitter-cavity detuning omega0 - omega_c", "drive_amplitude": None,
+          "fock_cutoff": None, "input": "input CSV (fit)"}
 _FREQ_COLS = ("omega", "detuning", "delta_0c", "delta_omega", "J", "J_dp", "J_ep", "gamma_m",
               "splitting", "peak_omega", "lamb_shift", "local_coupling")
 # per-experiment defaults over DEFAULTS: spectrum peaks need a finer grid
@@ -101,7 +103,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, tuple | None]:
             sweep = sweep or loaded.get("sweep")   # re-run from a sidecar
             loaded = loaded["config"]
             in_gamma0.update(_EV_KEYS)   # a sidecar records the resolved config
-        loaded.pop("step", None)   # the ignored step size that older configs carry
+        for key in _RETIRED:
+            loaded.pop(key, None)
         for key, val in loaded.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r} in {args.config}")
@@ -114,9 +117,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, tuple | None]:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = _parse_value(val)
         in_gamma0.discard(key)
-    for key in ("g", "kappa", "gamma", "r_abs", "delta_phi", "d0c",
-                "drive_amplitude", "fock_cutoff", "input"):
-        flag = getattr(args, key.replace("-", "_"), None)
+    for key in _FLAGS:
+        flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
             in_gamma0.discard(key)
@@ -125,7 +127,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, tuple | None]:
         for key in set(_EV_KEYS) - in_gamma0:
             cfg[key] = float(cfg[key]) / scale
     for key in cfg:
-        if key in ("input", "ldos_method", "drive_target", "measure"):
+        if key in _STR_KEYS:
             continue
         try:
             cfg[key] = float(cfg[key])
@@ -143,7 +145,7 @@ def parse_sweep(text: str) -> tuple[str, float, float, int]:
         name, start, stop, count = name.strip(), float(start), float(stop), int(count)
     except ValueError:
         raise ConfigError(f"--sweep expects name=start:stop:count, got {text!r}")
-    if name not in DEFAULTS or name in ("input", "ldos_method", "drive_target", "measure"):
+    if name not in DEFAULTS or name in _STR_KEYS:
         raise ConfigError(f"sweep axis {name!r} is not a numeric parameter")
     if count < 2:
         raise ConfigError(f"sweep count must be >= 2, got {count}")
@@ -309,19 +311,8 @@ EXPERIMENTS = {
 # failed), the sweep summary and the failed points as [value, message]
 # ---------------------------------------------------------------------------
 
-def _each_point(values: np.ndarray, fn) -> tuple[list, list]:
-    rows, errors = [], []
-    for v in values:
-        try:
-            rows.append(fn(float(v)))
-        except (EpqedError, ValueError) as exc:
-            rows.append(None)
-            errors.append([float(v), f"{type(exc).__name__}: {exc}"])
-    return rows, errors
-
-
 def _generic_sweep(experiment: str, cfg: dict, name: str, values: np.ndarray):
-    rows, errors = _each_point(
+    rows, errors = each_point(
         values, lambda v: EXPERIMENTS[experiment](_point_config(cfg, name, v))[1])
     return rows, {"sweep": name, "points": len(values)}, errors
 
@@ -333,11 +324,11 @@ def _blockade_sweep(cfg: dict, values: np.ndarray):
     rows = [{"g2": r.g2, "n_L": r.n_L, _RESIDUAL: r.residual} for r in res.results]
     summary = {"min_g2": res.min_g2, "min_g2_detuning": res.min_g2_detuning,
                "max_n_L": res.max_n_L, "max_n_L_detuning": res.max_n_L_detuning}
-    return rows, summary, [list(e) for e in res.errors]
+    return rows, summary, res.errors
 
 
 def _eigen_sweep(cfg: dict, name: str, values: np.ndarray):
-    mats, errors = _each_point(values, lambda v: spectra.coupling_matrix(
+    mats, errors = each_point(values, lambda v: spectra.coupling_matrix(
         params_from_config(_point_config(cfg, name, v))))
     good = [i for i, m in enumerate(mats) if m is not None]
     rows = [None] * len(values)
@@ -461,7 +452,7 @@ def run(experiment: str, cfg: dict, sweep=None,
         extra["diagnostics"] = {"max_steady_state_residual": max(
             (x for x in residuals if np.isfinite(x)), default=np.nan)}
         extra["basis"] = (
-            _each_point(values, lambda v: _solved_basis(_point_config(cfg, name, v)))[0]
+            each_point(values, lambda v: _solved_basis(_point_config(cfg, name, v)))[0]
             if sweep is not None and name == "fock_cutoff" else _solved_basis(cfg))
     if experiment == "trapping" and sweep is not None:   # to the sidecar, not the tables
         summary["variance"] = [r.pop("variance") if r else None for r in rows]
@@ -520,17 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--workers", type=int, default=1,
                         help="ignored; sweeps run serially")   # the benchmark passes it
-        sp.add_argument("--g", type=float, default=None)
-        sp.add_argument("--kappa", type=float, default=None)
-        sp.add_argument("--gamma", type=float, default=None)
-        sp.add_argument("--r-abs", dest="r_abs", type=float, default=None)
-        sp.add_argument("--delta-phi", dest="delta_phi", type=float, default=None)
-        sp.add_argument("--d0c", type=float, default=None,
-                        help="emitter-cavity detuning omega0 - omega_c")
-        sp.add_argument("--drive-amplitude", dest="drive_amplitude", type=float,
-                        default=None)
-        sp.add_argument("--fock-cutoff", dest="fock_cutoff", type=int, default=None)
-        sp.add_argument("--input", default=None, help="input CSV (fit)")
+        for key, text in _FLAGS.items():
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=type(DEFAULTS[key]),
+                            default=None, help=text)
 
     for name in EXPERIMENTS:
         add_common(sub.add_parser(name, help=f"run the {name} pipeline"))

@@ -134,26 +134,20 @@ class PlateauResult:
         return float(self.components[2:].sum())
 
 
-def trapped_population(params: ModelParams, t_final: float | None = None,
-                       n_qubits: int = 1, n_samples: int = 2001) -> PlateauResult:
-    """Long-time trapped populations for an initially excited emitter (gamma = 0).
+def trapped_population(params: ModelParams) -> PlateauResult:
+    """Long-time trapped populations for one initially excited emitter (gamma = 0).
 
-    Evolves to t_final = 50/min(g, kappa) and averages the last 10% of the
-    window; a window variance above 1e-4 marks the plateau as not trapped.
-    Raises ValueError unless g and kappa are positive.  t_final, n_samples
-    and n_qubits stay settable until trapping is read from the spectrum of M.
+    Evolves over 2001 samples to t_final = 50/min(g, kappa) and averages the
+    last 10% of the window; a window variance above 1e-4 marks the plateau
+    as not trapped.  Raises ValueError unless g and kappa are positive.
     """
     if params.gamma != 0:
         raise ValueError("population trapping requires gamma = 0")
     if params.g <= 0 or params.kappa <= 0:
         raise ValueError("g and kappa must be positive")
-    if t_final is None:
-        t_final = 50.0 / min(params.g, params.kappa)
-    t_grid = np.linspace(0.0, t_final, n_samples)
-    series = amplitude_evolve(params, excited_qubit_state(n_qubits), t_grid,
-                              n_qubits=n_qubits)
-    i0 = int(np.floor((1.0 - PLATEAU_WINDOW) * n_samples))
-    window = series.populations[i0:]
+    t_grid = np.linspace(0.0, 50.0 / min(params.g, params.kappa), 2001)
+    series = amplitude_evolve(params, excited_qubit_state(1), t_grid)
+    window = series.populations[int(np.floor((1.0 - PLATEAU_WINDOW) * len(t_grid))):]
     variance = float(window.var(axis=0).max())
     return PlateauResult(components=window.mean(axis=0),
                          converged=variance <= PLATEAU_VAR_TOL,

@@ -1,4 +1,4 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library, and the sweep failure policy.
 
 CLI maps EpqedError subclasses to exit code 3 (numerical failure) and
 ConfigError to exit code 2.
@@ -67,3 +67,20 @@ class StatisticsUndefinedError(EpqedError, RuntimeError):
 
 class MemoryLimitError(EpqedError, MemoryError):
     """A dense array the request needs would not fit in physical memory."""
+
+
+def each_point(values, fn) -> tuple[list, list]:
+    """fn(float(v)) for each v, one sweep point at a time.
+
+    A point that raises EpqedError or ValueError gives None in the returned
+    list and an entry [v, "TypeName: message"] in the error list, and the
+    sweep continues; any other exception propagates.
+    """
+    rows, errors = [], []
+    for v in values:
+        try:
+            rows.append(fn(float(v)))
+        except (EpqedError, ValueError) as exc:
+            rows.append(None)
+            errors.append([float(v), f"{type(exc).__name__}: {exc}"])
+    return rows, errors

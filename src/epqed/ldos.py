@@ -5,8 +5,10 @@ term (two degenerate modes) and a square-Lorentzian term produced by the
 unidirectional mode coupling; the latter carries the phase difference
 delta_phi and the mirror reflectivity |r|.  A quantum-regression-theorem
 integration of the photonic correlation functions provides an independent
-numerical oracle for the same quantity, and a Gauss-Newton fit extracts
-(omega_c, kappa, g) from sampled reference-cavity data.
+numerical oracle for the same quantity.  A Lorentzian fit extracts
+(omega_c, kappa, g) from sampled reference-cavity data: 1/J_DP is a quadratic
+in omega, so a weighted linear fit of 1/J near the peak gives the start, and
+Gauss-Newton with the model's exact derivatives refines it.
 """
 from __future__ import annotations
 
@@ -209,68 +211,49 @@ def lorentzian_model(omega, omega_c: float, kappa: float, g: float):
     return g * g * kappa / np.pi / ((w - omega_c) ** 2 + kappa * kappa / 4.0)
 
 
-def _half_max_width(w: np.ndarray, y: np.ndarray, i_peak: int) -> float:
-    half = y[i_peak] / 2.0
-    # walk out from the peak, linearly interpolating the crossings
-    left = w[0]
-    for i in range(i_peak, 0, -1):
-        if y[i - 1] < half <= y[i]:
-            f = (half - y[i - 1]) / (y[i] - y[i - 1])
-            left = w[i - 1] + f * (w[i] - w[i - 1])
-            break
-    right = w[-1]
-    for i in range(i_peak, len(w) - 1):
-        if y[i + 1] < half <= y[i]:
-            f = (y[i] - half) / (y[i] - y[i + 1])
-            right = w[i] + f * (w[i + 1] - w[i])
-            break
-    return right - left
-
-
 def fit_lorentzian(samples: SpectrumSeries) -> FitResult:
     """Extract (omega_c, kappa, g) from a sampled single-peak spectrum.
 
-    Closed-form initialization (argmax, measured FWHM, peak height) followed
-    by Gauss-Newton refinement with a central-difference Jacobian.  Returns
-    the initialization with converged=False if refinement has not settled
-    after FIT_MAX_ITER iterations.
+    1/J_DP = pi/(g^2 kappa) ((omega - omega_c)^2 + kappa^2/4) is a quadratic
+    in omega, so the start is one linear fit of 1/y over the samples above
+    half maximum, each residual weighted by y.  Gauss-Newton with the
+    model's exact derivatives refines it until a step moves omega_c and
+    kappa by at most 1e-12 kappa and g by at most 1e-12 g.  Returns the
+    start with converged=False if refinement has not settled after
+    FIT_MAX_ITER iterations.
     """
-    w = samples.omega
-    y = samples.value
+    w, y = samples.omega, samples.value
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(y))):
         raise FitError("samples contain non-finite values")
     i_peak = int(np.argmax(y))
     peak = y[i_peak]
     if peak <= 0:
         raise FitError("no peak found (maximum is not positive)")
-    if int(np.sum(y >= peak / 2.0)) < 7:
+    top = y >= peak / 2.0
+    if int(np.sum(top)) < 7:
         raise FitError("need at least 7 samples above half maximum")
 
-    kappa0 = _half_max_width(w, y, i_peak)
-    if kappa0 <= 0:
-        raise FitError("could not measure a positive FWHM")
-    p = np.array([w[i_peak], kappa0, np.sqrt(peak * np.pi * kappa0 / 4.0)])
-    p_init = p.copy()
+    a, b, c = np.polyfit(w[top] - w[i_peak], 1.0 / y[top], 2, w=y[top])
+    if a <= 0 or 4.0 * a * c <= b * b:   # kappa^2 = (4ac - b^2)/a^2
+        raise FitError("1/J above half maximum is not an upward parabola")
+    kappa0 = np.sqrt(4.0 * a * c - b * b) / a
+    p = p_init = np.array([w[i_peak] - b / (2.0 * a), kappa0, np.sqrt(np.pi / (a * kappa0))])
 
     converged = False
     for _ in range(FIT_MAX_ITER):
-        resid = lorentzian_model(w, *p) - y
-        jac = np.empty((len(w), 3))
-        for k in range(3):
-            h = 1e-6 * max(abs(p[k]), 1e-300)
-            dp = np.zeros(3)
-            dp[k] = h
-            jac[:, k] = (lorentzian_model(w, *(p + dp))
-                         - lorentzian_model(w, *(p - dp))) / (2.0 * h)
-        delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
+        d = (w - p[0]) ** 2 + p[1] ** 2 / 4.0
+        model = lorentzian_model(w, *p)
+        jac = np.column_stack([2.0 * (w - p[0]) * model / d,
+                               model / p[1] - p[1] * model / (2.0 * d),
+                               2.0 * model / p[2]])
+        delta, *_ = np.linalg.lstsq(jac, y - model, rcond=None)
         p = p + delta
-        if np.all(np.abs(delta) <= 1e-12 * np.maximum(np.abs(p), 1e-300)):
+        if np.all(np.abs(delta) <= 1e-12 * np.abs(p[[1, 1, 2]])):   # omega_c on kappa's scale
             converged = True
             break
     if not converged:
         p = p_init
-    p[1] = abs(p[1])
-    p[2] = abs(p[2])
+    p[1:] = np.abs(p[1:])
     rms = float(np.sqrt(np.mean((lorentzian_model(w, *p) - y) ** 2)))
     return FitResult(omega_c=float(p[0]), kappa=float(p[1]), g=float(p[2]),
                      rms_residual=rms, converged=converged)

@@ -90,9 +90,12 @@ def test_sweep_rows_equal_g2_zero_on_random_parameters(g, kappa, gamma, r_abs, p
 
 def test_sweep_collects_per_point_errors_and_continues():
     p = EP.replace(g=0.0)   # left mode empty at every detuning
-    sweep = g2_sweep(p, drive(), np.array([-1.0, 0.0, 1.0]), LAYOUT,
-                     measure="cavity_L")
+    dets = [-1.0, 0.0, 1.0]
+    sweep = g2_sweep(p, drive(), np.array(dets), LAYOUT, measure="cavity_L")
     assert len(sweep.errors) == 3
+    for det, entry in zip(dets, sweep.errors):
+        assert entry == [det, entry[1]]   # a list, as the CLI's sidecar records it
+        assert entry[1].startswith("StatisticsUndefinedError: measured-mode population")
     assert all(np.isnan(r.g2) for r in sweep.results)
     assert np.isnan(sweep.min_g2)
 

@@ -64,24 +64,28 @@ def test_rerun_from_sidecar_reproduces_file(tmp_path):
 
 
 def test_old_configs_carrying_step_still_load(tmp_path, capsys):
+    # the retired keys step and drive_detuning: older files load, --set rejects them
     first, again, plain = tmp_path / "first", tmp_path / "again", tmp_path / "plain"
     assert main(["dynamics", "--set", "t_max=2.0", "--set", "t_points=101",
                  "--g", "10", "--out", str(first)]) == 0
     sidecar = json.loads((first / "dynamics.json").read_text())
     assert "step" not in sidecar["config"]
-    sidecar["config"]["step"] = 0.0   # as older sidecars record it
+    assert "drive_detuning" not in sidecar["config"]
+    sidecar["config"].update(step=0.0, drive_detuning=0.0)   # as older sidecars record them
     old = tmp_path / "old.json"
     old.write_text(json.dumps(sidecar))
     assert main(["dynamics", "--config", str(old), "--out", str(again)]) == 0
     assert (first / "dynamics.csv").read_bytes() == (again / "dynamics.csv").read_bytes()
     assert "step" not in json.loads((again / "dynamics.json").read_text())["config"]
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"t_max": 2.0, "t_points": 101, "g": 10, "step": 1e-4}))
+    config.write_text(json.dumps({"t_max": 2.0, "t_points": 101, "g": 10, "step": 1e-4,
+                                  "drive_detuning": 5.0}))
     assert main(["dynamics", "--config", str(config), "--out", str(plain)]) == 0
     assert (first / "dynamics.csv").read_bytes() == (plain / "dynamics.csv").read_bytes()
-    capsys.readouterr()
-    assert main(["dynamics", "--set", "step=1e-4", "--out", str(tmp_path / "set")]) == 2
-    assert "unknown config key 'step'" in capsys.readouterr().err
+    for key, val in (("step", "1e-4"), ("drive_detuning", "1")):
+        capsys.readouterr()
+        assert main(["dynamics", "--set", f"{key}={val}", "--out", str(tmp_path / "set")]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_blockade_sidecar_records_solved_basis_and_reruns(tmp_path):
