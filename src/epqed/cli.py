@@ -54,14 +54,14 @@ DEFAULTS: dict = {
     "measure": "cavity_L",
     "detuning": 0.0,
     "ldos_method": "analytic",
-    "tau_max": 0.0, "tau_step": 0.0,
     "input": "",
     "gamma0_ev": 0.0,
 }
 _EV_KEYS = ("g", "kappa", "gamma", "omega_c", "d0c", "drive_amplitude", "detuning")
 _INT_KEYS = tuple(key for key, val in DEFAULTS.items() if isinstance(val, int))
 _STR_KEYS = tuple(key for key, val in DEFAULTS.items() if isinstance(val, str))
-_RETIRED = ("step", "drive_detuning")   # keys older configs and sidecars may carry; ignored
+# keys older configs and sidecars may carry; ignored
+_RETIRED = ("step", "drive_detuning", "tau_max", "tau_step")
 # the keys with a flag of their own (--r-abs for r_abs), with the flag's help text
 _FLAGS = {"g": None, "kappa": None, "gamma": None, "r_abs": None, "delta_phi": None,
           "d0c": "emitter-cavity detuning omega0 - omega_c", "drive_amplitude": None,
@@ -182,9 +182,7 @@ def _exp_ldos(cfg: dict):
     cols = {"omega": w}
     if cfg["ldos_method"] == "numerical":
         layout = SpaceLayout(0, 2, max_excitations=1)
-        tau_max = cfg["tau_max"] if cfg["tau_max"] > 0 else None
-        tau_step = cfg["tau_step"] if cfg["tau_step"] > 0 else None
-        cols["J"] = ldos.numerical_spectral_density(p, layout, w, tau_max, tau_step).value
+        cols["J"] = ldos.numerical_spectral_density(p, layout, w).value
         cols["J_analytic"] = j_dp + j_ep
     else:
         cols["J"] = j_dp + j_ep

@@ -33,10 +33,6 @@ class DegenerateSteadyStateError(EpqedError, RuntimeError):
     """Liouvillian kernel is more than one-dimensional."""
 
 
-class TruncationError(EpqedError, RuntimeError):
-    """Correlation-function window too short for the requested accuracy."""
-
-
 class UndefinedPurcellError(EpqedError, ValueError):
     """Purcell factor requested with zero free-space rate."""
 

@@ -3,9 +3,11 @@
 The cavity response seen by the emitter splits into a linear Lorentzian
 term (two degenerate modes) and a square-Lorentzian term produced by the
 unidirectional mode coupling; the latter carries the phase difference
-delta_phi and the mirror reflectivity |r|.  A quantum-regression-theorem
-integration of the photonic correlation functions provides an independent
-numerical oracle for the same quantity.  A Lorentzian fit extracts
+delta_phi and the mirror reflectivity |r|.  The quantum regression theorem
+on the cavity's master equation provides an independent numerical oracle
+for the same quantity: the photonic correlator's one-sided Fourier transform
+is exactly -Tr{B (L + i Delta)^-1 X}, solved on the coherence-order-1 block
+of the Liouvillian L that holds the source X.  A Lorentzian fit extracts
 (omega_c, kappa, g) from sampled reference-cavity data: 1/J_DP is a quadratic
 in omega, so a weighted linear fit of 1/J near the peak gives the start, and
 Gauss-Newton with the model's exact derivatives refines it.
@@ -19,10 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import master
-from .errors import (DivergenceError, FitError, TruncationError,
-                     UndefinedPurcellError)
-from .hilbert import SpaceLayout, cavity_ops, identity, product_ket
-from .numerics import uniform_fourier_sum
+from .errors import DivergenceError, FitError, UndefinedPurcellError
+from .hilbert import SpaceLayout, cavity_ops, product_ket
 from .params import ModelParams
 
 # SI constants (scipy.constants' values; only eps0 is not exact), so importing needs no scipy
@@ -32,7 +32,6 @@ C_LIGHT = 299792458.0                # m/s
 EPSILON_0 = 8.8541878188e-12         # F/m
 HBAR_EVS = HBAR / E_CHARGE  # hbar in eV*s
 DEBYE = 1e-21 / C_LIGHT     # C*m per Debye
-TAIL_TOL = 1e-7             # neglected correlator tail, relative to J's scale 4/(pi kappa)
 FIT_MAX_ITER = 200          # Gauss-Newton iterations before a fit counts as unconverged
 
 
@@ -156,48 +155,40 @@ def delay_check(length: float, group_velocity: float, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 def numerical_spectral_density(params: ModelParams, layout: SpaceLayout,
-                               omega_grid, tau_max: float | None = None,
-                               tau_step: float | None = None) -> SpectrumSeries:
+                               omega_grid) -> SpectrumSeries:
     """J(omega) from the photonic two-time correlator (cavity-only dynamics).
 
-    The emitter couples to c = c_L + e^{-2i phi_azim} c_R, so by linearity
+    The emitter couples to B = c_L + e^{-2i phi_azim} c_R, so by linearity
     the four correlators <c_i^dag(0) c_j(tau)> sum to one,
-    <c^dag(0) c(tau)> = Tr{c exp(L tau)[rho_L c_L^dag + e^{2i phi_azim} rho_R c_R^dag]},
-    propagated with the quantum regression theorem under the cavity-only
-    generator (single-photon normalization <c_i^dag(0) c_i(0)> = 1).  It is
-    Fourier-transformed by the trapezoid rule on a uniform tau grid
-    (defaults: window 40/kappa, spacing 0.002/kappa), factored by
-    uniform_fourier_sum.
+    C(tau) = Tr{B exp(L tau) X} with X = rho_L c_L^dag + e^{2i phi_azim} rho_R c_R^dag,
+    under the quantum regression theorem and the cavity-only generator
+    (single-photon normalization <c_i^dag(0) c_i(0)> = 1).  Its one-sided
+    transform is exact: int_0^inf e^{i Delta tau} C(tau) dtau =
+    -Tr{B (L + i Delta)^-1 X}, Delta = omega - omega_c, and J is g^2/pi times
+    its real part.  L + i Delta itself is singular at Delta = 0 (the steady
+    state), but X lies wholly in the coherence-order sector q = N(i) - N(j) = 1
+    of vec(rho), which the undriven L maps into itself and whose block decays
+    for kappa > 0, so one batched solve on that block serves every omega.
     """
     if layout.n_qubits != 0:
         raise ValueError("numerical spectral density needs a cavity-only layout")
     if params.kappa <= 0:
         raise ValueError("kappa must be positive")
-    if tau_max is None:
-        tau_max = 40.0 / params.kappa
-    if tau_step is None:
-        tau_step = 0.002 / params.kappa
-    tau = np.linspace(0.0, tau_max, int(np.round(tau_max / tau_step)) + 1)
-
     lv = master.build_liouvillian(params, layout)  # rotating frame at omega_c
     c_l, c_r = cavity_ops(layout)
     phase = np.exp(-2j * params.phi_azim_list()[0])
-    # rho_L c_L^dag + e^{2i phi_azim} rho_R c_R^dag = (|1,0> + e^{2i phi_azim} |0,1>) <0,0|
+    # X = (|1,0> + e^{2i phi_azim} |0,1>) <0,0|, and Tr{B Y} = vec(B^T) . vec(Y)
     ket = product_ket(layout, (), 1, 0) + np.conj(phase) * product_ket(layout, (), 0, 1)
-    source = np.outer(ket, product_ket(layout, ()))
-    corr = master.two_time_correlation(lv, source, identity(layout.dim), c_l + phase * c_r, tau)
+    source = master.vectorize(np.outer(ket, product_ket(layout, ())))
+    readout = master.vectorize((c_l + phase * c_r).T)
+    n = layout.excitations
+    q1 = np.flatnonzero(np.subtract.outer(n, n).ravel(order="F") == 1)   # rho_ij at i + j dim
 
-    # neglected tail |C(tau_max)| 2/(pi kappa) of the integral per unit g^2, over 4/(pi kappa)
-    tail = 0.5 * abs(corr[-1])
-    if tail > TAIL_TOL:
-        raise TruncationError(f"correlator tail bound {tail:.3e} > {TAIL_TOL:g} of J's scale "
-                              f"4/(pi kappa); increase tau_max ({tau_max:g})")
-
-    weighted = corr * (tau[1] - tau[0])   # trapezoid weights
-    weighted[[0, -1]] *= 0.5
     omega_grid = np.asarray(omega_grid, dtype=float)
-    j = (params.g**2 / np.pi) * np.real(
-        uniform_fourier_sum(weighted, tau[1] - tau[0], omega_grid - params.omega_c))
+    delta = omega_grid - params.omega_c
+    block = lv.generator[q1][:, q1].toarray() + 1j * delta[:, None, None] * np.eye(len(q1))
+    resolved = np.linalg.solve(block, source[q1, None])[..., 0]
+    j = (params.g**2 / np.pi) * np.real(-resolved @ readout[q1])
     return SpectrumSeries(omega_grid, j)
 
 

@@ -112,22 +112,6 @@ def uniform_powers(step_map, x0, n_samples: int) -> np.ndarray:
     return out.reshape(-1, x0.size)[:n_samples]
 
 
-def uniform_fourier_sum(values, step: float, omega) -> np.ndarray:
-    """F(w) = sum_k values_k exp(i w k step) for each w of omega (any grid).
-
-    With k = q m + r and m = ceil(sqrt(len(values))), exp(i w k step) =
-    exp(i w q m step) exp(i w r step): one (Q x m) @ (m x len(omega)) product
-    and len(omega) (Q + m) exponentials in place of len(omega) len(values).
-    """
-    values = np.asarray(values, dtype=complex)
-    omega = np.asarray(omega, dtype=float)
-    m = int(np.ceil(np.sqrt(len(values))))
-    blocks = np.pad(values, (0, -len(values) % m)).reshape(-1, m)
-    inner = blocks @ np.exp(1j * step * np.outer(np.arange(m), omega))
-    outer = np.exp(1j * (m * step) * np.outer(np.arange(len(blocks)), omega))
-    return np.einsum("qw,qw->w", outer, inner)
-
-
 def van_loan_integral(a, k, dt: float) -> np.ndarray:
     """Q = int_0^dt exp(a^dag s) k exp(a s) ds: p^dag Q p integrates p^dag k p over a step.
 

@@ -193,8 +193,8 @@ def test_detuning_derivative_is_the_frame_derivative(lay, det, shift, r_abs, phi
     # the sweep's affine step from one drive frequency to another is exact
     p = ModelParams(g=3.0, kappa=10.0, gamma=1.0, r_abs=r_abs, phi_prop=phi, omega0=0.4)
     gen = [master.build_liouvillian(p, lay, drive=drive(d)).generator for d in (det, det + shift)]
-    diff = (gen[1] - gen[0] - shift * detuning_derivative(lay)).toarray()
-    assert np.abs(diff).max() <= 1e-13 * (1.0 + abs(det) + abs(shift))
+    diff = gen[1] - gen[0] - shift * detuning_derivative(lay)
+    assert abs(diff).max() <= 1e-13 * (1.0 + abs(det) + abs(shift))
 
 
 def _stats(p, d, lay):

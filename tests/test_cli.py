@@ -64,14 +64,15 @@ def test_rerun_from_sidecar_reproduces_file(tmp_path):
 
 
 def test_old_configs_carrying_step_still_load(tmp_path, capsys):
-    # the retired keys step and drive_detuning: older files load, --set rejects them
+    # the retired keys step, drive_detuning, tau_max and tau_step: older files load,
+    # --set rejects them
     first, again, plain = tmp_path / "first", tmp_path / "again", tmp_path / "plain"
     assert main(["dynamics", "--set", "t_max=2.0", "--set", "t_points=101",
                  "--g", "10", "--out", str(first)]) == 0
     sidecar = json.loads((first / "dynamics.json").read_text())
-    assert "step" not in sidecar["config"]
-    assert "drive_detuning" not in sidecar["config"]
-    sidecar["config"].update(step=0.0, drive_detuning=0.0)   # as older sidecars record them
+    assert not {"step", "drive_detuning", "tau_max", "tau_step"} & set(sidecar["config"])
+    # as older sidecars record them
+    sidecar["config"].update(step=0.0, drive_detuning=0.0, tau_max=0.0, tau_step=0.0)
     old = tmp_path / "old.json"
     old.write_text(json.dumps(sidecar))
     assert main(["dynamics", "--config", str(old), "--out", str(again)]) == 0
@@ -79,10 +80,11 @@ def test_old_configs_carrying_step_still_load(tmp_path, capsys):
     assert "step" not in json.loads((again / "dynamics.json").read_text())["config"]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"t_max": 2.0, "t_points": 101, "g": 10, "step": 1e-4,
-                                  "drive_detuning": 5.0}))
+                                  "drive_detuning": 5.0, "tau_max": 2.0, "tau_step": 0.01}))
     assert main(["dynamics", "--config", str(config), "--out", str(plain)]) == 0
     assert (first / "dynamics.csv").read_bytes() == (plain / "dynamics.csv").read_bytes()
-    for key, val in (("step", "1e-4"), ("drive_detuning", "1")):
+    for key, val in (("step", "1e-4"), ("drive_detuning", "1"), ("tau_max", "2"),
+                     ("tau_step", "0.01")):
         capsys.readouterr()
         assert main(["dynamics", "--set", f"{key}={val}", "--out", str(tmp_path / "set")]) == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
@@ -193,7 +195,7 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 def test_numerical_ldos_at_small_kappa(tmp_path):
-    # the default window 40/kappa passes the tail bound at the chiral EP below kappa = 5
+    # the exact transform holds at the chiral EP below kappa = 5 too
     assert main(["ldos", "--set", "ldos_method=numerical", "--kappa", "3",
                  "--out", str(tmp_path)]) == 0
     header, data = read_csv(tmp_path / "ldos.csv")

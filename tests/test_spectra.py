@@ -8,7 +8,6 @@ from epqed.dynamics import amplitude_evolve, excited_qubit_state
 from epqed.errors import (CooperativityUndefinedError, DivergenceError,
                           NoBicError)
 from epqed.ldos import spectral_density, transparency_detuning
-from epqed.numerics import uniform_fourier_sum
 from epqed.params import ModelParams
 from epqed.spectra import (DEFECT_EIGVAL_TOL, DEFECT_OVERLAP_TOL, EigenMode,
                            approx_eigenvalues, coupling_matrix, delta_omega_bic,
@@ -363,6 +362,34 @@ def test_se_spectrum_linewidth_below_bare_emitter():
     above = y >= y.max() / 2
     fwhm = fine.omega[above][-1] - fine.omega[above][0]
     assert fwhm < gamma
+
+
+def uniform_fourier_sum(values, step: float, omega) -> np.ndarray:
+    """F(w) = sum_k values_k exp(i w k step) for each w of omega (any grid).
+
+    With k = q m + r and m = ceil(sqrt(len(values))), exp(i w k step) =
+    exp(i w q m step) exp(i w r step): one (Q x m) @ (m x len(omega)) product
+    and len(omega) (Q + m) exponentials in place of len(omega) len(values).
+    """
+    values = np.asarray(values, dtype=complex)
+    omega = np.asarray(omega, dtype=float)
+    m = int(np.ceil(np.sqrt(len(values))))
+    blocks = np.pad(values, (0, -len(values) % m)).reshape(-1, m)
+    inner = blocks @ np.exp(1j * step * np.outer(np.arange(m), omega))
+    outer = np.exp(1j * (m * step) * np.outer(np.arange(len(blocks)), omega))
+    return np.einsum("qw,qw->w", outer, inner)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5000), n_omega=st.integers(1, 300),
+       step=st.floats(1e-4, 0.1))
+@settings(max_examples=40, deadline=None)
+def test_factored_fourier_sum_matches_direct_sum(seed, n, n_omega, step):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    omega = np.sort(rng.uniform(-60.0, 60.0, n_omega))   # not uniform
+    direct = np.exp(1j * np.outer(omega, step * np.arange(n))) @ values
+    assert_allclose(uniform_fourier_sum(values, step, omega), direct,
+                    rtol=0, atol=1e-12 * np.abs(values).sum())
 
 
 def test_se_spectrum_peaks_match_amplitude_dynamics():
