@@ -136,8 +136,8 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
 
 
 def detuning_derivative(layout: SpaceLayout):
-    """d L / d omega_d = i (spre(N) - spost(N)) for the excitation number N of the
-    layout's basis: the CSR diagonal i (N_a - N_b) at entry a + n b of vec(rho)."""
+    """d L / d omega_d: rho -> i (N rho - rho N) for the excitation number N of the
+    layout's basis, the CSR diagonal i (N_a - N_b) at entry a + n b of vec(rho)."""
     import scipy.sparse
 
     n_exc = layout.excitations

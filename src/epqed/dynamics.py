@@ -73,10 +73,11 @@ class PopulationSeries:
         k_gamma = np.zeros_like(self.loss)
         k_gamma[2:, 2:] = np.diag(np.diag(self.loss)[2:])
         steps, index = distinct_steps(self.times)
-        # Re(p^dag Q p) = u^T R(Q) u for u = (Re p_0, Im p_0, Re p_1, ...), a view
-        # of each interval's start, and R(Q) the real form of Q: no copy of the
-        # samples where one spacing serves every interval
-        u = self.amplitudes[:-1].view(float)
+        # Re(p^dag Q p) = u^T R(Q) u for u = (Re p_0, Im p_0, Re p_1, ...), each
+        # interval's start viewed as reals (copied only if its rows are not
+        # contiguous), and R(Q) the real form of Q: no copy of the samples where
+        # one spacing serves every interval
+        u = np.ascontiguousarray(self.amplitudes[:-1]).view(float)
         leaked = np.zeros((2, len(self.times)))   # per-interval increments, summed below
         for i, dt in enumerate(steps):
             q = np.array([van_loan_integral(self.generator, k, dt)

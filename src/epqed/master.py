@@ -63,21 +63,6 @@ def _kron_sum(terms, n: int):
     return out
 
 
-def sprepost(a, b):
-    """Superoperator of two-sided multiplication, vec(a rho b) = kron(b^T, a) vec(rho), CSR."""
-    return _kron_sum([(1.0, b.T, a)], a.shape[0])
-
-
-def spre(a):
-    """Superoperator of left multiplication: vec(a rho), CSR."""
-    return sprepost(a, np.eye(a.shape[0]))
-
-
-def spost(b):
-    """Superoperator of right multiplication: vec(rho b), CSR."""
-    return sprepost(np.eye(b.shape[0]), b)
-
-
 def _require_fits(nbytes: int, what: str):
     """Raise MemoryLimitError if an allocation of nbytes exceeds physical memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -213,15 +198,6 @@ class EvolutionResult:
     states: list[DensityMatrix]
     max_trace_drift: float
     max_hermiticity_defect: float
-
-    def __len__(self):
-        return len(self.states)
-
-    def __getitem__(self, i):
-        return self.states[i]
-
-    def __iter__(self):
-        return iter(self.states)
 
     def expect(self, op: np.ndarray) -> np.ndarray:
         return np.array([s.expect(op) for s in self.states])

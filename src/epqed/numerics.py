@@ -23,12 +23,17 @@ def distinct_steps(t_grid) -> tuple[np.ndarray, np.ndarray]:
     """Distinct spacings of an ascending grid and each interval's index into them.
 
     Spacings equal to within the rounding of the grid's times count as one,
-    represented by their mean, so a linspace grid has a single spacing.
+    represented by their mean, so a linspace grid has a single spacing.  That
+    case is told in one pass; only a mixed grid is sorted.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dts = np.diff(t_grid)
     resolution = 16.0 * np.finfo(float).eps * np.abs(t_grid).max()
-    _, index = np.unique(np.round(dts / resolution), return_inverse=True)
+    rounded = np.round(dts / resolution)
+    if (rounded == rounded[:1]).all():   # also a one-sample grid, with no spacing
+        index = np.zeros(len(dts), dtype=np.intp)
+    else:
+        _, index = np.unique(rounded, return_inverse=True)
     return np.bincount(index, weights=dts) / np.bincount(index), index
 
 
@@ -38,9 +43,9 @@ def propagate(a, x0, t_grid) -> np.ndarray:
     a is a dense array or a scipy.sparse matrix.  Exact for any constant a,
     defective ones included.  Up to DENSE_EXPM_MAX_DIM, one numpy Pade
     exponential S = expm(a dt) per distinct spacing (on a dense copy of a
-    sparse a); a grid with a single spacing is then sampled in
-    blocks by uniform_powers (about 2 sqrt(len(t_grid)) matrix products), any
-    other grid by a matrix-vector product per interval.  Above it, Al-Mohy and
+    sparse a); a grid with a single spacing is then sampled by uniform_powers
+    (about 2 log2 len(t_grid) matrix products), any other grid by a
+    matrix-vector product per interval.  Above it, Al-Mohy and
     Higham's expm_multiply per interval on a as CSR.
     """
     steps, index = distinct_steps(t_grid)
@@ -91,25 +96,43 @@ def expm(a) -> np.ndarray:
 
 
 def uniform_powers(step_map, x0, n_samples: int) -> np.ndarray:
-    """x_k = S^k x0 for k < n_samples, shape (n_samples, n), in blocks of m = ceil(sqrt(n_samples)).
+    """x_k = S^k x0 for k < n_samples, shape (n_samples, n), in O(log n_samples) products.
 
-    With k = q m + r, x_k = S^r (S^m)^q x0: the anchors (S^m)^q x0 take one
-    matrix-vector product each, and S is applied to all of them at once m
-    times, so about 2 m matrix products replace n_samples - 1 matrix-vector
-    products, with the same arithmetic per sample and no array beyond the output.
+    With k = q m + r, x_k = S^r (S^m)^q x0, m = ceil(sqrt(n_samples)).  The
+    powers S^0..S^(m-1), stacked side by side as their transposes, and the
+    anchors (S^m)^q x0, as columns, are each built by doubling (_doubled); one
+    product of the anchors with the stack then writes every sample, in C order.
+    Where the stack of m n x n powers would outgrow the n_samples x n samples
+    (n > m), m = 1 and the anchors are the samples.
     """
     x0 = np.asarray(x0, dtype=complex)
+    n = x0.size
     m = int(np.ceil(np.sqrt(n_samples)))
-    jump = np.linalg.matrix_power(step_map, m)
-    anchors = np.empty((x0.size, -(-n_samples // m)), dtype=complex)
-    anchors[:, 0] = x0
-    for q in range(1, anchors.shape[1]):
-        anchors[:, q] = jump @ anchors[:, q - 1]
-    out = np.empty((anchors.shape[1], m, x0.size), dtype=complex)
-    for r in range(m):
-        out[:, r] = anchors.T
-        anchors = step_map @ anchors
-    return out.reshape(-1, x0.size)[:n_samples]
+    if n > m:
+        m = 1
+    stack = _doubled(step_map.T, np.eye(n, dtype=complex), m)
+    anchors = _doubled(step_map @ stack[:, -n:].T, x0[:, None], -(-n_samples // m))
+    return (anchors.T @ stack).reshape(-1, n)[:n_samples]
+
+
+def _doubled(base, first, count: int) -> np.ndarray:
+    """[first, base first, ..., base^(count-1) first] side by side, shape (n, count w).
+
+    first is n x w.  Each pass writes the next as many blocks as are done,
+    base^k [blocks 0..k-1], in one product, then squares base^k: about
+    2 log2(count) products.
+    """
+    w = first.shape[1]
+    out = np.empty((len(first), count * w), dtype=complex)
+    out[:, :w] = first
+    done = 1
+    while done < count:
+        more = min(done, count - done)
+        np.matmul(base, out[:, :more * w], out=out[:, done * w:(done + more) * w])
+        done += more
+        if done < count:
+            base = base @ base
+    return out
 
 
 def van_loan_integral(a, k, dt: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -72,7 +74,7 @@ def test_matches_full_master_equation(model):
     kets = np.array([product_ket(lay, vac, 1, 0), product_ket(lay, vac, 0, 1)]
                     + [product_ket(lay, tuple(int(j == i) for j in range(n))) for i in range(n)]).T
     run = evolve(build_liouvillian(p, lay), DensityMatrix.from_ket(kets @ p0), t)
-    block = np.array([kets.T @ s.entries @ kets for s in run])
+    block = np.array([kets.T @ s.entries @ kets for s in run.states])
     assert np.abs(block - np.einsum("ti,tj->tij", amp, amp.conj())).max() <= 1e-10
 
 
@@ -133,6 +135,17 @@ def test_lazy_leaks_match_eager_reference(n, kappa, gamma, g, r_abs, phi, phi_az
     for lazy, eager in zip((series.leaked_kappa, series.leaked_gamma), ref):
         assert np.abs(lazy - eager).max() <= 1e-14 * np.abs(eager).max()
     assert np.abs(series.total - 1.0).max() <= 1e-9
+
+
+def test_leaks_of_strided_amplitudes_match():
+    # the leak contraction views the samples as reals; a Fortran-ordered copy,
+    # whose rows are not contiguous, must give the same leaks
+    for t in (np.linspace(0.0, 1.0, 51), np.array([0.0, 0.1, 0.3, 0.35, 0.9])):
+        series = amplitude_evolve(ep(1.3), excited_qubit_state(1), t)
+        strided = dataclasses.replace(series, amplitudes=np.asfortranarray(series.amplitudes))
+        assert not strided.amplitudes[:-1].flags.c_contiguous
+        assert np.array_equal(strided.leaked_kappa, series.leaked_kappa)
+        assert np.array_equal(strided.leaked_gamma, series.leaked_gamma)
 
 
 def test_unread_leaks_are_never_computed(monkeypatch):

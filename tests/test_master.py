@@ -15,9 +15,24 @@ from epqed.hilbert import SpaceLayout, cavity_ops, product_ket, qubit_lowering
 from epqed import master
 from epqed.blockade import detuning_derivative
 from epqed.master import (DensityMatrix, Liouvillian, SteadyStateSolver, build_liouvillian,
-                          convergence_check, evolve, spost, spre, sprepost, steady_state,
+                          convergence_check, evolve, steady_state,
                           two_time_correlation, unvectorize, vacuum_state, vectorize)
 from epqed.params import DriveSpec, ModelParams
+
+
+def sprepost(a, b):
+    """Superoperator of two-sided multiplication, vec(a rho b) = kron(b^T, a) vec(rho), CSR."""
+    return master._kron_sum([(1.0, b.T, a)], a.shape[0])
+
+
+def spre(a):
+    """Superoperator of left multiplication: vec(a rho), CSR."""
+    return sprepost(a, np.eye(a.shape[0]))
+
+
+def spost(b):
+    """Superoperator of right multiplication: vec(rho b), CSR."""
+    return sprepost(np.eye(b.shape[0]), b)
 
 
 def lindblad_dissipator(op):
@@ -70,7 +85,7 @@ def test_zero_generator_keeps_state():
     lay = SpaceLayout(0, 2)
     rho0 = _single_photon_L(lay)
     res = evolve(np.zeros((16, 16), dtype=complex), rho0, np.linspace(0, 1, 5))
-    for s in res:
+    for s in res.states:
         assert_allclose(s.entries, rho0.entries, atol=1e-15)
 
 
@@ -116,7 +131,7 @@ def test_gauge_invariance_of_populations_and_correlators():
         lv = build_liouvillian(p, lay)
         res = evolve(lv, rho0, t, step=1e-4)
         pops = np.array([res.expect(op).real for op in n_ops])
-        corr = two_time_correlation(lv, res[-1], c_l.conj().T, c_r, t)
+        corr = two_time_correlation(lv, res.states[-1], c_l.conj().T, c_r, t)
         return pops, np.abs(corr)
 
     pops0, corr0 = observables(base)
@@ -171,11 +186,11 @@ def test_evolution_matches_matrix_exponential():
     rho0 = _single_photon_L(lay)
     t = np.linspace(0, 2, 3)
     res = evolve(lv, rho0, t, step=0.1)
-    for tk, state in zip(t, res):
+    for tk, state in zip(t, res.states):
         ref = unvectorize(scipy.linalg.expm(lv.matrix * tk) @ vectorize(rho0.entries), lay.dim)
         assert_allclose(state.entries, ref, atol=1e-12)
     assert all(np.array_equal(a.entries, b.entries)
-               for a, b in zip(res, evolve(lv, rho0, t)))
+               for a, b in zip(res.states, evolve(lv, rho0, t).states))
 
 
 def test_trace_drift_raises_accuracy_error():
@@ -211,7 +226,7 @@ def test_driven_empty_cavity_photon_number():
     assert n_r == pytest.approx((2 * omega / kappa) ** 2, rel=2e-3)
     # brute-force cross-check: evolve to t = 50/kappa
     res = evolve(lv, vacuum_state(lay), np.array([0.0, 50.0 / kappa]))
-    assert res[-1].expect(c_r.conj().T @ c_r).real == pytest.approx(n_r, abs=1e-8)
+    assert res.states[-1].expect(c_r.conj().T @ c_r).real == pytest.approx(n_r, abs=1e-8)
 
 
 def test_degenerate_kernel_raises():

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from epqed.dynamics import amplitude_evolve, excited_qubit_state
 from epqed.hilbert import SpaceLayout
-from epqed.master import build_liouvillian, vacuum_state, vectorize
+from epqed.master import DensityMatrix, build_liouvillian, evolve, vacuum_state, vectorize
 from epqed import numerics
 from epqed.numerics import (DENSE_EXPM_MAX_DIM, distinct_steps, expm, propagate,
                             uniform_powers)
@@ -112,7 +112,7 @@ trapped_population(ModelParams.from_delta_phi(0.0, g=5.0, kappa=20.0, gamma=0.0)
 lay = SpaceLayout(1, 3, max_excitations=2)
 lv = build_liouvillian(p, lay, drive=DriveSpec(omega_drive=0.0, amplitude=0.5))
 assert lv.generator.shape[0] <= DENSE_EXPM_MAX_DIM
-rho = evolve(lv, vacuum_state(lay), np.linspace(0.0, 0.5, 6))[-1]
+rho = evolve(lv, vacuum_state(lay), np.linspace(0.0, 0.5, 6)).states[-1]
 c_l = cavity_ops(lay)[0]
 two_time_correlation(lv, rho, c_l.conj().T, c_l, np.linspace(0.0, 0.5, 6))
 print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
@@ -173,6 +173,7 @@ def check_uniform_grid(a, x0, t_grid):
     assert_allclose(out, loop_oracle(step_map, x0, len(t_grid)), rtol=1e-10, atol=1e-10)
     sub = np.unique(np.r_[0:len(t_grid):max(1, len(t_grid) // 20), len(t_grid) - 1])
     assert_allclose(out[sub], expm_oracle(a, x0, t_grid[sub]), rtol=1e-10, atol=1e-10)
+    return out
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), n=uniform_lengths,
@@ -198,6 +199,38 @@ def test_blocked_uniform_grid_at_the_chiral_ep(kappa, phi_azim, n, t1):
     assert lv.matrix.shape == (16, 16)
     x0 = vectorize(np.outer(np.eye(4)[1] + np.eye(4)[2], np.eye(4)[0]))   # a QRT source
     check_uniform_grid(lv.matrix, x0, t_grid)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.just(1) | st.integers(17, 64), n=uniform_lengths,
+       t1=st.floats(0.1, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_uniform_grid_where_the_block_size_rule_changes(seed, dim, n, t1):
+    # dim 1, and dims that exceed m = ceil(sqrt(n)) at small n, where the
+    # samples are the anchors (m = 1) and the stack of powers is the identity
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    out = check_uniform_grid(decaying_generator(rng, dim), x0, np.linspace(0.0, t1, n))
+    assert out.shape == (n, dim) and out.flags.c_contiguous
+
+
+def test_one_sample_grid_returns_the_initial_state():
+    p = ModelParams.from_delta_phi(0.6, g=5.0, kappa=20.0, gamma=1.0)
+    steps, index = distinct_steps([0.0])
+    assert steps.shape == index.shape == (0,)
+    x0 = np.array([0.3, 0.4j, 0.5 + 0.1j])
+    lay = SpaceLayout(1, 3)
+    big = build_liouvillian(p, lay, drive=DriveSpec(omega_drive=0.5, amplitude=0.8)).generator
+    assert big.shape[0] > DENSE_EXPM_MAX_DIM
+    for a, v in ((-1j * coupling_matrix(p, 1), x0), (big, vectorize(vacuum_state(lay).entries))):
+        out = propagate(a, v, [0.0])
+        assert out.shape == (1, len(v)) and np.array_equal(out[0], v)
+    series = amplitude_evolve(p, excited_qubit_state(1), [0.0])
+    assert np.array_equal(series.amplitudes, [excited_qubit_state(1)])
+    assert np.array_equal(series.leaked_kappa, [0.0])
+    assert np.array_equal(series.leaked_gamma, [0.0])
+    rho0 = DensityMatrix.from_ket(np.eye(lay.dim)[1])
+    run = evolve(build_liouvillian(p, lay), rho0, [0.0])
+    assert len(run.states) == 1 and np.array_equal(run.states[0].entries, rho0.entries)
 
 
 def test_uniform_powers_block_edges():
