@@ -3,8 +3,9 @@
 The right CCW mode is driven coherently (the left one receives the
 mirror-mediated feed), the left mode's statistics are read out; both
 choices are configurable.  All quantities come from the steady state of the
-driven rotating-frame generator, a CSR matrix solved by one banded LU of
-its reverse-Cuthill-McKee-ordered, trace-completed form, in the basis
+driven generator, built once in the cavity frame and shifted to the drive
+frequency, a CSR matrix solved by one banded LU of its
+reverse-Cuthill-McKee-ordered, trace-completed form, in the basis
 `solve_layout` picks.
 """
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _check_preconditions(params: ModelParams, drive: DriveSpec, layout: SpaceLay
     if params.kappa > 0 and drive.amplitude > 0.1 * params.kappa:
         warnings.warn(
             f"drive amplitude {drive.amplitude:g} exceeds 0.1*kappa; weak-drive "
-            "assumptions and the Fock truncation may fail", stacklevel=3)
+            "assumptions and the Fock truncation may fail", stacklevel=4)
 
 
 def _statistics(rho: master.DensityMatrix, c_m: np.ndarray, detuning: float,
@@ -91,39 +92,37 @@ def _statistics(rho: master.DensityMatrix, c_m: np.ndarray, detuning: float,
                           n_L=float(n_val), residual=residual)
 
 
+def _point_solver(params: ModelParams, drive: DriveSpec, layout: SpaceLayout, measure: str):
+    """det -> BlockadeResult at drive detuning det = omega_d - omega_c: one build of L
+    in the cavity frame and one SteadyStateSolver, each point a shift of its diagonal."""
+    _check_preconditions(params, drive, layout)
+    layout = solve_layout(layout)
+    solve = master.SteadyStateSolver(
+        master.build_liouvillian(params, layout, drive=drive, frame=params.omega_c))
+    c_m = _measure_ops(layout, measure)
+    return lambda det: _statistics(solve(det), c_m, det, solve.residual)
+
+
 def g2_zero(params: ModelParams, drive: DriveSpec, layout: SpaceLayout,
             measure: str = "cavity_L") -> BlockadeResult:
     """Steady-state g2(0) = <c+c+cc>/<c+c>^2 of the measured mode."""
-    _check_preconditions(params, drive, layout)
-    layout = solve_layout(layout)
-    solve = master.SteadyStateSolver(master.build_liouvillian(params, layout, drive=drive))
-    rho = solve()
-    return _statistics(rho, _measure_ops(layout, measure),
-                       drive.omega_drive - params.omega_c, solve.residual)
+    return _point_solver(params, drive, layout, measure)(drive.omega_drive - params.omega_c)
 
 
 def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
              layout: SpaceLayout, measure: str = "cavity_L") -> BlockadeSweep:
     """g2(0) and n_L over a grid of drive detunings omega_d - omega_c.
 
-    The generator is affine in the drive frequency (the frame rotation
-    shifts its diagonal by the excitation-number difference), so the sweep
-    reuses one build and one ordering (and band layout) of the steady-state
-    system, and each point only shifts its diagonal.  A point that fails by
-    errors.each_point's policy is recorded in `errors` with NaN results and
-    the sweep continues.
+    drive.omega_drive is not read: the grid gives the detunings.  The
+    generator is affine in the drive frequency (the frame rotation shifts
+    its diagonal by the excitation-number difference), so the sweep reuses
+    one build in the cavity frame and one ordering (and band layout) of the
+    steady-state system, and each point, as in g2_zero, only shifts its
+    diagonal.  A point that fails by errors.each_point's policy is recorded
+    in `errors` with NaN results and the sweep continues.
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
-    _check_preconditions(params, drive, layout)
-    layout = solve_layout(layout)
-    base_drive = DriveSpec(omega_drive=params.omega_c + detuning_grid[0],
-                           amplitude=drive.amplitude, target=drive.target)
-    lv0 = master.build_liouvillian(params, layout, drive=base_drive)
-    solve = master.SteadyStateSolver(lv0, diagonal=detuning_derivative(layout).diagonal())
-
-    c_m = _measure_ops(layout, measure)
-    rows, errors = each_point(detuning_grid, lambda det: _statistics(
-        solve(det - detuning_grid[0]), c_m, det, solve.residual))
+    rows, errors = each_point(detuning_grid, _point_solver(params, drive, layout, measure))
     results = [BlockadeResult(detuning=float(det), g2=np.nan, n_L=np.nan) if r is None else r
                for det, r in zip(detuning_grid, rows)]
 
@@ -133,15 +132,6 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
     max_det, max_nl = _interp_extremum(detuning_grid, nl_vals, kind="max")
     return BlockadeSweep(results=results, min_g2=min_g2, min_g2_detuning=min_det,
                          max_n_L=max_nl, max_n_L_detuning=max_det, errors=errors)
-
-
-def detuning_derivative(layout: SpaceLayout):
-    """d L / d omega_d: rho -> i (N rho - rho N) for the excitation number N of the
-    layout's basis, the CSR diagonal i (N_a - N_b) at entry a + n b of vec(rho)."""
-    import scipy.sparse
-
-    n_exc = layout.excitations
-    return scipy.sparse.diags(1j * (n_exc[None, :] - n_exc[:, None]).ravel(), format="csr")
 
 
 def _interp_extremum(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, float]:

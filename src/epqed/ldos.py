@@ -6,7 +6,7 @@ unidirectional mode coupling; the latter carries the phase difference
 delta_phi and the mirror reflectivity |r|.  The quantum regression theorem
 on the cavity's master equation provides an independent numerical oracle
 for the same quantity: the photonic correlator's one-sided Fourier transform
-is exactly -Tr{B (L + i Delta)^-1 X}, solved on the coherence-order-1 block
+is exactly -Tr{B (L + i Delta)^-1 X}, solved on the one-photon-to-vacuum block
 of the Liouvillian L that holds the source X.  A Lorentzian fit extracts
 (omega_c, kappa, g) from sampled reference-cavity data: 1/J_DP is a quadratic
 in omega, so a weighted linear fit of 1/J near the peak gives the start, and
@@ -166,9 +166,10 @@ def numerical_spectral_density(params: ModelParams, layout: SpaceLayout,
     transform is exact: int_0^inf e^{i Delta tau} C(tau) dtau =
     -Tr{B (L + i Delta)^-1 X}, Delta = omega - omega_c, and J is g^2/pi times
     its real part.  L + i Delta itself is singular at Delta = 0 (the steady
-    state), but X lies wholly in the coherence-order sector q = N(i) - N(j) = 1
-    of vec(rho), which the undriven L maps into itself and whose block decays
-    for kappa > 0, so one batched solve on that block serves every omega.
+    state), but X lies wholly in the sector N(i) = 1, N(j) = 0 of vec(rho)
+    (two states at any cutoff), which the undriven L maps into itself (its
+    jumps lower N(i) and N(j) together) and whose block decays for
+    kappa > 0, so one batched solve on that block serves every omega.
     """
     if layout.n_qubits != 0:
         raise ValueError("numerical spectral density needs a cavity-only layout")
@@ -182,13 +183,14 @@ def numerical_spectral_density(params: ModelParams, layout: SpaceLayout,
     source = master.vectorize(np.outer(ket, product_ket(layout, ())))
     readout = master.vectorize((c_l + phase * c_r).T)
     n = layout.excitations
-    q1 = np.flatnonzero(np.subtract.outer(n, n).ravel(order="F") == 1)   # rho_ij at i + j dim
+    sector = np.flatnonzero(np.logical_and.outer(n == 1, n == 0).ravel(order="F"))  # i + j dim
 
     omega_grid = np.asarray(omega_grid, dtype=float)
     delta = omega_grid - params.omega_c
-    block = lv.generator[q1][:, q1].toarray() + 1j * delta[:, None, None] * np.eye(len(q1))
-    resolved = np.linalg.solve(block, source[q1, None])[..., 0]
-    j = (params.g**2 / np.pi) * np.real(-resolved @ readout[q1])
+    block = (lv.generator[sector][:, sector].toarray()
+             + 1j * delta[:, None, None] * np.eye(len(sector)))
+    resolved = np.linalg.solve(block, source[sector, None])[..., 0]
+    j = (params.g**2 / np.pi) * np.real(-resolved @ readout[sector])
     return SpectrumSeries(omega_grid, j)
 
 

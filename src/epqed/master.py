@@ -145,8 +145,9 @@ def build_liouvillian(params: ModelParams, layout: SpaceLayout,
     """Assemble L with vec(drho/dt) = L vec(rho) as a CSR matrix.
 
     frame overrides the rotation frequency (None = omega_drive when driven,
-    else omega_c; pass 0.0 for the lab frame).  It stays for the lab-frame
-    correlator and any-frame reference checks in the tests.
+    else omega_c; pass 0.0 for the lab frame).  blockade builds driven
+    problems in the cavity frame and reaches the drive's by a
+    SteadyStateSolver shift.
     """
     n = layout.n_qubits
     if n > 0 and params.n_qubits not in (1, n):
@@ -178,12 +179,11 @@ def build_liouvillian(params: ModelParams, layout: SpaceLayout,
     return Liouvillian(generator=lmat, layout=layout)
 
 
-def _generator(lv):
-    """The CSR generator of a Liouvillian, or a dense or sparse matrix as CSR."""
-    import scipy.sparse
-
-    return (lv.generator if isinstance(lv, Liouvillian)
-            else scipy.sparse.csr_matrix(lv, dtype=complex))
+def detuning_derivative(layout: SpaceLayout) -> np.ndarray:
+    """d L / d f for the frame frequency f: rho -> i (N rho - rho N) for the excitation
+    number N of the layout's basis, the diagonal i (N_a - N_b) at entry a + n b of vec(rho)."""
+    n_exc = layout.excitations
+    return 1j * (n_exc[None, :] - n_exc[:, None]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ class EvolutionResult:
         return np.array([s.expect(op) for s in self.states])
 
 
-def evolve(lv, rho0, t_grid, step: float | None = None) -> EvolutionResult:
+def evolve(lv: Liouvillian, rho0, t_grid, step: float | None = None) -> EvolutionResult:
     """Propagate vec(drho/dt) = L vec(rho) exactly over an ascending grid;
     step is ignored, and stays only because the benchmark's workloads pass it."""
     t_grid = np.asarray(t_grid, dtype=float)
@@ -211,7 +211,7 @@ def evolve(lv, rho0, t_grid, step: float | None = None) -> EvolutionResult:
         raise ValueError("t_grid must be ascending and start at t >= 0")
     rho0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
-    raw = propagate(_generator(lv), vectorize(rho0), t_grid)
+    raw = propagate(lv.generator, vectorize(rho0), t_grid)
 
     mats = raw.reshape(len(t_grid), dim, dim).transpose(0, 2, 1)  # order="F" unvec
     traces = np.einsum("kii->k", mats).real
@@ -231,35 +231,37 @@ def evolve(lv, rho0, t_grid, step: float | None = None) -> EvolutionResult:
 # ---------------------------------------------------------------------------
 
 class SteadyStateSolver:
-    """Steady states of L + s diag(d) for one generator L, one diagonal d and shifts s.
+    """Steady states of L + s D for one Liouvillian L and frame shifts s.
 
-    L vec(rho) = 0 with Tr(rho) = 1 is solved by one banded LU per shift
-    (LAPACK zgbsv).  The first row of L (the equation for rho_00) is replaced
-    by the trace row and the completed system is put in reverse Cuthill-McKee
-    order, the heuristic that minimises its bandwidth: kl = ku = 79 at
-    N^2 = 529 (one qubit, K = 4).  That order, kl, ku and the band position
-    of every nonzero are found once; a solve scatters the values of L into
-    band storage of 16 N^2 (2 kl + ku + 1) bytes (checked against physical
-    memory up front, MemoryLimitError), adds the shifted diagonal and
-    factors in place.  Only when the factor is singular, or leaves a
-    residual |(L + s diag(d)) v| above 1e-10, is the dense spectrum computed
-    (guarded by MemoryLimitError) to classify the failure:
+    D is the diagonal detuning_derivative(lv.layout), so solve(s) is the
+    steady state of the generator built in a frame s above L's: for L built
+    in the cavity frame, of a drive detuned by s from omega_c.  The system
+    (L + s D) vec(rho) = 0 with Tr(rho) = 1 is solved by one banded LU per
+    shift (LAPACK zgbsv).  The first row of L (the equation for rho_00) is
+    replaced by the trace row and the completed system is put in reverse
+    Cuthill-McKee order, the heuristic that minimises its bandwidth:
+    kl = ku = 79 at N^2 = 529 (one qubit, K = 4).  That order, kl, ku and
+    the band position of every nonzero are found once; a solve scatters the
+    values of L into band storage of 16 N^2 (2 kl + ku + 1) bytes (checked
+    against physical memory up front, MemoryLimitError), adds the shifted
+    diagonal and factors in place.  Only when the factor is singular, or
+    leaves a residual |(L + s D) v| above 1e-10, is the dense spectrum
+    computed (guarded by MemoryLimitError) to classify the failure:
     DegenerateSteadyStateError when the kernel is more than one-dimensional
     within KERNEL_TOL (relative singular-value threshold), e.g. for
     gamma = 0 undriven configurations supporting bound states, else
     AccuracyError.  `residual` is the residual of the last solve.
     """
 
-    def __init__(self, lv, diagonal=None):
+    def __init__(self, lv: Liouvillian):
         import scipy.sparse
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        self.lmat = _generator(lv)
+        self.lmat = lv.generator
         self.lmat.sum_duplicates()   # one band position per entry
         n2 = self.lmat.shape[0]
-        self.dim = int(round(np.sqrt(n2)))
-        self.diagonal = (np.zeros(n2) if diagonal is None
-                         else np.asarray(diagonal, dtype=complex))
+        self.dim = lv.layout.dim
+        self.diagonal = detuning_derivative(lv.layout)
         self.residual = np.nan
         # pattern of the trace-completed system: the trace row, then rows 1.. of L
         rows = np.concatenate([np.zeros(self.dim, dtype=np.intp),
@@ -324,7 +326,7 @@ class SteadyStateSolver:
         raise AccuracyError(f"steady-state residual {residual:.3e} exceeds 1e-10")
 
 
-def steady_state(lv) -> DensityMatrix:
+def steady_state(lv: Liouvillian) -> DensityMatrix:
     """Solve L vec(rho) = 0 with Tr(rho) = 1: the unshifted case of SteadyStateSolver."""
     return SteadyStateSolver(lv)()
 
@@ -333,7 +335,7 @@ def steady_state(lv) -> DensityMatrix:
 # two-time correlations (quantum regression theorem)
 # ---------------------------------------------------------------------------
 
-def two_time_correlation(lv, rho, a_op: np.ndarray, b_op: np.ndarray,
+def two_time_correlation(lv: Liouvillian, rho, a_op: np.ndarray, b_op: np.ndarray,
                          tau_grid) -> np.ndarray:
     """<A(0) B(tau)> = Tr{ B exp(L tau)[rho A] } for tau ascending from 0."""
     tau_grid = np.asarray(tau_grid, dtype=float)
@@ -341,7 +343,7 @@ def two_time_correlation(lv, rho, a_op: np.ndarray, b_op: np.ndarray,
         raise ValueError("tau_grid must be strictly ascending from tau = 0")
     rho = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
-    raw = propagate(_generator(lv), vectorize(rho @ a_op), tau_grid)
+    raw = propagate(lv.generator, vectorize(rho @ a_op), tau_grid)
     xs = raw.reshape(len(tau_grid), dim, dim).transpose(0, 2, 1)
     return np.einsum("ij,kji->k", np.asarray(b_op, dtype=complex), xs)
 

@@ -317,14 +317,28 @@ def test_resolvent_matches_time_domain_correlators(dphi, r_abs, phi_azim, kappa,
        phi_azim=st.floats(-np.pi, np.pi))
 @settings(max_examples=25, deadline=None)
 def test_cavity_liouvillian_keeps_coherence_order_one(layout, kappa, r_abs, dphi, phi_azim):
-    # the resolvent solves on the q = N(i) - N(j) = 1 block alone: L must not leak out of it
+    # L must not leak out of the q = N(i) - N(j) = 1 block, nor out of the sector
+    # (N(i), N(j)) = (1, 0) inside it, on which the resolvent solves
     p = ModelParams.from_delta_phi(dphi, g=1.0, kappa=kappa, gamma=1.0, r_abs=r_abs,
                                    phi_azim=phi_azim)
     n = layout.excitations
+    generator = master.build_liouvillian(p, layout).generator
     in_q1 = np.subtract.outer(n, n).ravel(order="F") == 1
-    columns = master.build_liouvillian(p, layout).generator[:, np.flatnonzero(in_q1)]
-    assert columns.nnz > 0
-    assert np.all(columns.toarray()[~in_q1] == 0)
+    in_10 = np.logical_and.outer(n == 1, n == 0).ravel(order="F")
+    for inside in (in_q1, in_10):
+        columns = generator[:, np.flatnonzero(inside)]
+        assert columns.nnz > 0
+        assert np.all(columns.toarray()[~inside] == 0)
+
+
+def test_spectral_density_does_not_depend_on_the_cutoff():
+    # the one-photon source never reaches a second photon: cutoff 6 gives cutoff 2's J
+    p = ModelParams.from_delta_phi(0.7, g=1.0, kappa=8.0, gamma=1.0, r_abs=0.6,
+                                   phi_azim=0.3)
+    w = np.linspace(-24.0, 24.0, 61)
+    j2 = numerical_spectral_density(p, SpaceLayout(0, 2), w).value
+    j6 = numerical_spectral_density(p, SpaceLayout(0, 6), w).value
+    assert np.abs(j6 - j2).max() <= 1e-15 * np.abs(j2).max()
 
 
 def test_numerical_requires_cavity_only_layout():

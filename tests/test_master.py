@@ -13,7 +13,6 @@ from epqed.errors import (AccuracyError, BuildError, DegenerateSteadyStateError,
                           MemoryLimitError)
 from epqed.hilbert import SpaceLayout, cavity_ops, product_ket, qubit_lowering
 from epqed import master
-from epqed.blockade import detuning_derivative
 from epqed.master import (DensityMatrix, Liouvillian, SteadyStateSolver, build_liouvillian,
                           convergence_check, evolve, steady_state,
                           two_time_correlation, unvectorize, vacuum_state, vectorize)
@@ -84,7 +83,9 @@ def test_liouvillian_is_traceless_on_hermitian_states():
 def test_zero_generator_keeps_state():
     lay = SpaceLayout(0, 2)
     rho0 = _single_photon_L(lay)
-    res = evolve(np.zeros((16, 16), dtype=complex), rho0, np.linspace(0, 1, 5))
+    zero = Liouvillian(generator=scipy.sparse.csr_matrix(np.zeros((16, 16), dtype=complex)),
+                       layout=lay)
+    res = evolve(zero, rho0, np.linspace(0, 1, 5))
     for s in res.states:
         assert_allclose(s.entries, rho0.entries, atol=1e-15)
 
@@ -196,7 +197,8 @@ def test_evolution_matches_matrix_exponential():
 def test_trace_drift_raises_accuracy_error():
     p = ModelParams(g=0.0, kappa=50.0, gamma=0.0, r_abs=0.0)
     lay = SpaceLayout(0, 2)
-    gain = build_liouvillian(p, lay).matrix + 0.1 * np.eye(lay.dim**2)
+    gain = Liouvillian(generator=scipy.sparse.csr_matrix(
+        build_liouvillian(p, lay).matrix + 0.1 * np.eye(lay.dim**2)), layout=lay)
     with pytest.raises(AccuracyError, match="trace drift"):
         evolve(gain, _single_photon_L(lay), np.linspace(0, 2, 3))
 
@@ -512,9 +514,11 @@ def test_band_storage_is_guarded_before_allocation(monkeypatch):
 
 def test_zero_generator_is_degenerate_not_a_lapack_error():
     # every column but the trace row's is zero: the banded factor is exactly singular
-    n2 = SpaceLayout(1, 2).dim ** 2
+    lay = SpaceLayout(1, 2)
+    n2 = lay.dim ** 2
     with pytest.raises(DegenerateSteadyStateError):
-        steady_state(scipy.sparse.csr_matrix((n2, n2), dtype=complex))
+        steady_state(Liouvillian(generator=scipy.sparse.csr_matrix((n2, n2), dtype=complex),
+                                 layout=lay))
 
 
 def test_one_qubit_at_cutoff_8_builds_and_evolves():
@@ -556,13 +560,13 @@ def test_banded_solver_matches_sparse_direct_solve(model, shift):
     # the same shifted, trace-completed system
     lay, p, drive = model
     lv = build_liouvillian(p, lay, drive=drive)
-    deriv = detuning_derivative(lay)
+    deriv = scipy.sparse.diags(master.detuning_derivative(lay))
     a = (lv.generator + shift * deriv).tolil()
     a[0, :] = np.eye(lay.dim).reshape(1, -1)   # the trace row
     b = np.zeros(lay.dim**2, dtype=complex)
     b[0] = 1.0
     ref = unvectorize(scipy.sparse.linalg.spsolve(a.tocsc(), b), lay.dim)
-    solve = SteadyStateSolver(lv, diagonal=deriv.diagonal())
+    solve = SteadyStateSolver(lv)
     assert_allclose(solve(shift).entries, ref, rtol=0, atol=1e-12)
     assert solve.residual <= 1e-10
 
@@ -573,8 +577,9 @@ def test_shifted_solver_matches_steady_state_of_shifted_generator(model, shift):
     # the sweep's path (one pattern, diagonal rewritten) against a fresh solve
     lay, p, drive = model
     lv = build_liouvillian(p, lay, drive=drive)
-    deriv = detuning_derivative(lay)
-    solver = SteadyStateSolver(lv, diagonal=deriv.diagonal())
-    ref = steady_state(lv.generator + shift * deriv)
+    deriv = scipy.sparse.diags(master.detuning_derivative(lay))
+    solver = SteadyStateSolver(lv)
+    ref = steady_state(Liouvillian(generator=scipy.sparse.csr_matrix(lv.generator + shift * deriv),
+                                   layout=lay))
     assert_allclose(solver(shift).entries, ref.entries, rtol=0, atol=1e-12)
     assert_allclose(solver(0.0).entries, steady_state(lv).entries, rtol=0, atol=1e-12)
