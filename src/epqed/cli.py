@@ -251,9 +251,12 @@ def _exp_concurrence(cfg: dict):
     return {"concurrence": cols}, {"c_max": quadratic_extremum(t, c, int(np.argmax(c)))[1]}
 
 
-def _blockade_drive(cfg: dict, detuning: float) -> DriveSpec:
-    return DriveSpec(omega_drive=cfg["omega_c"] + detuning,
-                     amplitude=cfg["drive_amplitude"], target=cfg["drive_target"])
+def _blockade_problem(cfg: dict, detuning: float) -> tuple[ModelParams, DriveSpec]:
+    """Params and drive in the cavity frame (omega_c = 0).  Blockade outputs depend on
+    frequencies only through d0c and the detuning, so both reach the solver as given."""
+    return (params_from_config({**cfg, "omega_c": 0.0}),
+            DriveSpec(omega_drive=detuning, amplitude=cfg["drive_amplitude"],
+                      target=cfg["drive_target"]))
 
 
 def _blockade_layout(cfg: dict) -> SpaceLayout:
@@ -268,8 +271,7 @@ def _solved_basis(cfg: dict) -> dict:
 
 
 def _exp_blockade(cfg: dict):
-    p = params_from_config(cfg)
-    res = blockade.g2_zero(p, _blockade_drive(cfg, cfg["detuning"]), _blockade_layout(cfg),
+    res = blockade.g2_zero(*_blockade_problem(cfg, cfg["detuning"]), _blockade_layout(cfg),
                            measure=cfg["measure"])
     cols = {"detuning": np.array([res.detuning]), "g2": np.array([res.g2]),
             "n_L": np.array([res.n_L])}
@@ -316,8 +318,7 @@ def _generic_sweep(experiment: str, cfg: dict, name: str, values: np.ndarray):
 
 
 def _blockade_sweep(cfg: dict, values: np.ndarray):
-    res = blockade.g2_sweep(params_from_config(cfg), _blockade_drive(cfg, 0.0),
-                            values, _blockade_layout(cfg),
+    res = blockade.g2_sweep(*_blockade_problem(cfg, 0.0), values, _blockade_layout(cfg),
                             measure=cfg["measure"])
     rows = [{"g2": r.g2, "n_L": r.n_L, _RESIDUAL: r.residual} for r in res.results]
     summary = {"min_g2": res.min_g2, "min_g2_detuning": res.min_g2_detuning,

@@ -43,10 +43,11 @@ def propagate(a, x0, t_grid) -> np.ndarray:
     a is a dense array or a scipy.sparse matrix.  Exact for any constant a,
     defective ones included.  Up to DENSE_EXPM_MAX_DIM, one numpy Pade
     exponential S = expm(a dt) per distinct spacing (on a dense copy of a
-    sparse a); a grid with a single spacing is then sampled by uniform_powers
-    (about 2 log2 len(t_grid) matrix products), any other grid by a
-    matrix-vector product per interval.  Above it, Al-Mohy and
-    Higham's expm_multiply per interval on a as CSR.
+    sparse a); a grid with a single spacing is then sampled by uniform_powers,
+    which doubles the block of done samples with each product (about 2 log2
+    len(t_grid) products), any other grid by a matrix-vector product per
+    interval.  Above it, Al-Mohy and Higham's expm_multiply per interval on
+    a as CSR.
     """
     steps, index = distinct_steps(t_grid)
     dense = a.shape[0] <= DENSE_EXPM_MAX_DIM
@@ -98,40 +99,20 @@ def expm(a) -> np.ndarray:
 def uniform_powers(step_map, x0, n_samples: int) -> np.ndarray:
     """x_k = S^k x0 for k < n_samples, shape (n_samples, n), in O(log n_samples) products.
 
-    With k = q m + r, x_k = S^r (S^m)^q x0, m = ceil(sqrt(n_samples)).  The
-    powers S^0..S^(m-1), stacked side by side as their transposes, and the
-    anchors (S^m)^q x0, as columns, are each built by doubling (_doubled); one
-    product of the anchors with the stack then writes every sample, in C order.
-    Where the stack of m n x n powers would outgrow the n_samples x n samples
-    (n > m), m = 1 and the anchors are the samples.
+    Samples are the rows of the output, so S acts from the right as S^T.  With
+    rows 0..d-1 done, one product with (S^d)^T writes rows d..2d-1, and (S^d)^T
+    is squared while rows remain: about 2 log2(n_samples) products, in C order.
     """
     x0 = np.asarray(x0, dtype=complex)
-    n = x0.size
-    m = int(np.ceil(np.sqrt(n_samples)))
-    if n > m:
-        m = 1
-    stack = _doubled(step_map.T, np.eye(n, dtype=complex), m)
-    anchors = _doubled(step_map @ stack[:, -n:].T, x0[:, None], -(-n_samples // m))
-    return (anchors.T @ stack).reshape(-1, n)[:n_samples]
-
-
-def _doubled(base, first, count: int) -> np.ndarray:
-    """[first, base first, ..., base^(count-1) first] side by side, shape (n, count w).
-
-    first is n x w.  Each pass writes the next as many blocks as are done,
-    base^k [blocks 0..k-1], in one product, then squares base^k: about
-    2 log2(count) products.
-    """
-    w = first.shape[1]
-    out = np.empty((len(first), count * w), dtype=complex)
-    out[:, :w] = first
-    done = 1
-    while done < count:
-        more = min(done, count - done)
-        np.matmul(base, out[:, :more * w], out=out[:, done * w:(done + more) * w])
+    out = np.empty((n_samples, x0.size), dtype=complex)
+    out[0] = x0
+    power, done = step_map.T, 1
+    while done < n_samples:
+        more = min(done, n_samples - done)
+        np.matmul(out[:more], power, out=out[done:done + more])
         done += more
-        if done < count:
-            base = base @ base
+        if done < n_samples:
+            power = power @ power
     return out
 
 

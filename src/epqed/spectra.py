@@ -70,12 +70,12 @@ def coupling_matrix(params: ModelParams, n_qubits: int | None = None) -> np.ndar
 
 def _greedy_match(overlaps: np.ndarray) -> np.ndarray:
     """Greedy max-overlap column of each row of a (P, n, n) overlap stack: rows by
-    descending best overlap take their best untaken column, in np.argsort's orders."""
+    descending best overlap take their best untaken column, ties in index order."""
     s = np.arange(len(overlaps))
-    cands = np.argsort(-overlaps, axis=-1)
+    cands = np.argsort(-overlaps, axis=-1, kind="stable")
     taken = np.zeros(overlaps.shape[:2], dtype=bool)
     match = np.empty(overlaps.shape[:2], dtype=int)
-    for row in np.argsort(-overlaps.max(axis=-1), axis=-1).T:
+    for row in np.argsort(-overlaps.max(axis=-1), axis=-1, kind="stable").T:
         cand = cands[s, row]
         match[s, row] = pick = cand[s, np.argmax(~taken[s[:, None], cand], axis=-1)]
         taken[s, pick] = True
@@ -84,7 +84,7 @@ def _greedy_match(overlaps: np.ndarray) -> np.ndarray:
 
 def eigenmodes(m: np.ndarray) -> list[EigenMode]:
     """Eigenmodes of one matrix, `eigenmode_sweep([m])[0]`: one np.linalg.eig,
-    labels by ascending real part, ties as np.argsort puts them."""
+    labels by ascending real part, ties in column order."""
     return eigenmode_sweep([m])[0]
 
 
@@ -93,10 +93,11 @@ def eigenmode_sweep(matrices) -> list[list[EigenMode]]:
 
     Labels follow ascending real part at the first point, then a greedy max-|overlap|
     match to the previous point: its modes, in label order, go by descending best
-    overlap and take their best untaken column, ties falling as np.argsort puts them
-    (not stable for n >= 4 on AVX-512 builds).  A coalescent pair (eigenvalues and
-    eigenvectors merged to tolerance) is flagged degenerate and its second vector
-    replaced by a generalized eigenvector.  Mixed matrix shapes raise ValueError.
+    overlap and take their best untaken column.  Ties in either order fall in index
+    order (stable sorts), so labels do not depend on the CPU.  A coalescent pair
+    (eigenvalues and eigenvectors merged to tolerance) is flagged degenerate and its
+    second vector replaced by a generalized eigenvector.  Mixed matrix shapes raise
+    ValueError.
     """
     ms = [np.asarray(m, dtype=complex) for m in matrices]
     if not ms:
@@ -121,7 +122,7 @@ def eigenmode_sweep(matrices) -> list[list[EigenMode]]:
     overlaps = np.abs(np.ascontiguousarray(vecs[:-1].conj().swapaxes(1, 2)) @ vecs[1:])
     rowmax = np.sort(overlaps.max(axis=-1), axis=-1)
     tied = (rowmax[:, 1:] == rowmax[:, :-1]).any(axis=-1).tolist()
-    cols = [np.argsort(vals[0].real).tolist()]
+    cols = [np.argsort(vals[0].real, kind="stable").tolist()]
     for k, row in enumerate(_greedy_match(overlaps).tolist()):
         prev = cols[-1]
         cols.append(_greedy_match(overlaps[k, prev][None])[0].tolist() if tied[k]

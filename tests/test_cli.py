@@ -156,6 +156,20 @@ def test_blockade_sweep_shape_contract(tmp_path):
     assert np.all(data[:, 1] >= 0) and np.all(data[:, 2] >= 0)
 
 
+def test_blockade_run_matches_its_sweep_row_at_nonzero_omega_c(tmp_path):
+    # (omega_c + detuning) - omega_c need not give the detuning back (0.1 and 0.2
+    # give 0.20000000000000004); the run solves in the cavity frame, at the
+    # detuning it was given, as the sweep does
+    one, sweep = tmp_path / "one", tmp_path / "sweep"
+    assert main(["blockade", "--set", "omega_c=0.1", "--set", "detuning=0.2",
+                 "--out", str(one)]) == 0
+    assert main(["blockade", "--set", "omega_c=0.1", "--sweep", "detuning=0:0.4:3",
+                 "--out", str(sweep)]) == 0
+    row = (one / "blockade.csv").read_text().splitlines()[2:]
+    assert row == (sweep / "blockade.csv").read_text().splitlines()[3:4]
+    assert float(row[0].split(",")[0]) == 0.2
+
+
 def test_generic_sweep_rows(tmp_path):
     rc = main(["trapping", "--sweep", "g=10:40:4", "--kappa", "20",
                "--workers", "1", "--out", str(tmp_path)])

@@ -159,7 +159,8 @@ def test_propagate_is_exact_at_the_chiral_ep(kappa, phi, t_grid):
     assert_allclose(np.abs(out[:, 1]), kappa * tau * np.exp(-kappa * tau / 2), atol=1e-10)
 
 
-# lengths of uniform grids: the smallest, whole blocks of m = ceil(sqrt(n)) and one off
+# lengths of uniform grids: the smallest, perfect squares and one off, and any up to
+# 4000; test_uniform_powers_block_edges takes the doubling edges 2^k and 2^k +- 1
 uniform_lengths = st.one_of(
     st.sampled_from([2, 3]),
     st.integers(2, 60).flatmap(lambda m: st.sampled_from([m * m - 1, m * m, m * m + 1])),
@@ -205,8 +206,9 @@ def test_blocked_uniform_grid_at_the_chiral_ep(kappa, phi_azim, n, t1):
        t1=st.floats(0.1, 3.0))
 @settings(max_examples=30, deadline=None)
 def test_uniform_grid_where_the_block_size_rule_changes(seed, dim, n, t1):
-    # dim 1, and dims that exceed m = ceil(sqrt(n)) at small n, where the
-    # samples are the anchors (m = 1) and the stack of powers is the identity
+    # dim 1, and maps wider than the grid is long (dim up to 64 at n down to
+    # 2), where each doubling writes a block of rows thinner than the map;
+    # the samples still match the loop and expm, in a C-ordered array
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     out = check_uniform_grid(decaying_generator(rng, dim), x0, np.linspace(0.0, t1, n))
@@ -237,7 +239,7 @@ def test_uniform_powers_block_edges():
     a = decaying_generator(np.random.default_rng(7), 5)
     step_map = scipy.linalg.expm(a * 0.01)
     x0 = np.arange(1.0, 6.0)
-    for n in (1, 2, 3, 15, 16, 17):
+    for n in (1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65):
         out = uniform_powers(step_map, x0, n)
         assert out.shape == (n, 5) and out.flags.c_contiguous
         assert_allclose(out, loop_oracle(step_map, x0, n), rtol=1e-13, atol=1e-13)

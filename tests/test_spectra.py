@@ -146,8 +146,8 @@ def _match_to_previous(vecs, previous):
     overlaps = np.abs(np.array([m.vector for m in previous]).conj() @ vecs)
     order = [-1] * len(previous)
     taken = set()
-    for prev_i in np.argsort(-overlaps.max(axis=1)):
-        for cand in np.argsort(-overlaps[prev_i]):
+    for prev_i in np.argsort(-overlaps.max(axis=1), kind="stable"):
+        for cand in np.argsort(-overlaps[prev_i], kind="stable"):
             if cand not in taken:
                 order[prev_i] = int(cand)
                 taken.add(int(cand))
@@ -176,7 +176,7 @@ def reference_eigenmodes(m, previous=None):
             if norm > 0:
                 vecs[:, j] = gen / norm
     if previous is None:
-        order, labels = list(np.argsort(vals.real)), list(range(n))
+        order, labels = list(np.argsort(vals.real, kind="stable")), list(range(n))
     else:
         order, labels = _match_to_previous(vecs, previous), [m.label for m in previous]
     modes = []
@@ -269,6 +269,13 @@ def test_one_point_sweep_is_eigenmodes():
     m = coupling_matrix(ep(1.3, gamma=0.4))
     assert_same_modes(eigenmode_sweep([m]), [eigenmodes(m)])
     assert [mode.label for mode in eigenmodes(m)] == [0, 1, 2]
+
+
+def test_tied_eigenvalues_keep_their_column_order():
+    # np.argsort's default sort orders ties by CPU (its AVX-512 build gave [3, 2, 1, 0])
+    columns = [int(np.argmax(np.abs(mode.vector)))
+               for mode in eigenmodes(np.diag([1.0, 1.0, 0.0, 0.0]))]
+    assert columns == [2, 3, 0, 1]
 
 
 def test_mixed_shapes_raise():
