@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hilbert, spectra
-from .errors import (AccuracyError, BuildError, DegenerateSteadyStateError,
+from .errors import (AccuracyError, BuildError, DegenerateSteadyStateError, EmbedError,
                      MemoryLimitError)
 from .hilbert import SpaceLayout
 from .numerics import propagate
@@ -87,15 +87,14 @@ class DensityMatrix:
         object.__setattr__(self, "entries", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        herm = np.abs(m - m.conj().T).max()
-        if herm > HERM_TOL:
-            raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {tr!r}")
-        lo = np.linalg.eigvalsh(m).min()
-        if lo < -EIG_TOL:
-            raise ValueError(f"negative eigenvalue {lo:.3e}")
+        _check_states(m[None])
+
+    @classmethod
+    def _checked(cls, entries: np.ndarray) -> "DensityMatrix":
+        """The state of complex entries that _check_states has already passed."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "entries", entries)
+        return state
 
     @property
     def dim(self) -> int:
@@ -115,9 +114,31 @@ def vacuum_state(layout: SpaceLayout) -> DensityMatrix:
     return DensityMatrix.from_ket(hilbert.product_ket(layout, (0,) * layout.n_qubits))
 
 
-def _clean(raw: np.ndarray) -> DensityMatrix:
-    m = 0.5 * (raw + raw.conj().T)
-    return DensityMatrix(m / np.trace(m).real)
+def _check_states(m: np.ndarray):
+    """Raise ValueError unless every matrix of the (T, d, d) stack m is Hermitian
+    (HERM_TOL), of unit trace (TRACE_TOL) and positive semidefinite (EIG_TOL), the
+    last by one stacked eigvalsh; the message reports the first sample that fails."""
+    herm = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    if (herm > HERM_TOL).any():
+        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm[herm > HERM_TOL][0]:.3e}")
+    traces = np.trace(m, axis1=1, axis2=2).real
+    off = np.abs(traces - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValueError(f"trace must be 1, got {traces[off][0]!r}")
+    lows = np.linalg.eigvalsh(m)[:, 0]
+    if (lows < -EIG_TOL).any():
+        raise ValueError(f"negative eigenvalue {lows[lows < -EIG_TOL][0]:.3e}")
+
+
+def _clean(raw: np.ndarray) -> np.ndarray:
+    """The Hermitian part of each matrix of the (T, d, d) stack raw, scaled to unit trace
+    and checked by _check_states: the states of a propagation or a solve."""
+    m = raw.conj().transpose(0, 2, 1)
+    m += raw
+    m *= 0.5
+    m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    _check_states(m)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +213,30 @@ def detuning_derivative(layout: SpaceLayout) -> np.ndarray:
 
 @dataclass
 class EvolutionResult:
-    """Sequence of states plus drift diagnostics of the raw propagation."""
+    """Checked states stacked as (T, d, d) entries, plus drift diagnostics of the raw
+    propagation."""
 
     times: np.ndarray
-    states: list[DensityMatrix]
+    entries: np.ndarray
     max_trace_drift: float
     max_hermiticity_defect: float
 
+    @cached_property
+    def states(self) -> list[DensityMatrix]:
+        return [DensityMatrix._checked(m) for m in self.entries]
+
     def expect(self, op: np.ndarray) -> np.ndarray:
-        return np.array([s.expect(op) for s in self.states])
+        """Tr(op rho(t_k)) at every sample."""
+        return np.einsum("ij,kji->k", op, self.entries)
+
+
+def _entries(lv: Liouvillian, rho) -> np.ndarray:
+    """The matrix of a state or array rho, which must be square on lv's layout (EmbedError)."""
+    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    if m.shape != (lv.layout.dim, lv.layout.dim):
+        raise EmbedError(f"state of shape {m.shape} does not fit the Liouvillian's "
+                         f"{lv.layout.dim}-dimensional layout")
+    return m
 
 
 def evolve(lv: Liouvillian, rho0, t_grid, step: float | None = None) -> EvolutionResult:
@@ -209,10 +245,8 @@ def evolve(lv: Liouvillian, rho0, t_grid, step: float | None = None) -> Evolutio
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be ascending and start at t >= 0")
-    rho0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    dim = rho0.shape[0]
-    raw = propagate(lv.generator, vectorize(rho0), t_grid)
-
+    dim = lv.layout.dim
+    raw = propagate(lv.generator, vectorize(_entries(lv, rho0)), t_grid)
     mats = raw.reshape(len(t_grid), dim, dim).transpose(0, 2, 1)  # order="F" unvec
     traces = np.einsum("kii->k", mats).real
     drift = np.abs(traces - 1.0).max()
@@ -220,9 +254,8 @@ def evolve(lv: Liouvillian, rho0, t_grid, step: float | None = None) -> Evolutio
         raise AccuracyError(
             f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:g}; "
             "the generator does not preserve the trace")
-    herm = max(np.abs(m - m.conj().T).max() for m in mats)
-    states = [_clean(m) for m in mats]
-    return EvolutionResult(times=t_grid, states=states, max_trace_drift=float(drift),
+    herm = np.abs(mats - mats.conj().transpose(0, 2, 1)).max()
+    return EvolutionResult(times=t_grid, entries=_clean(mats), max_trace_drift=float(drift),
                            max_hermiticity_defect=float(herm))
 
 
@@ -308,7 +341,7 @@ class SteadyStateSolver:
         self.residual = residual
         if residual > 1e-10:
             self._classify_failure(shift, residual)
-        return _clean(unvectorize(v, self.dim))
+        return DensityMatrix._checked(_clean(unvectorize(v, self.dim)[None])[0])
 
     def _classify_failure(self, shift: float, residual: float):
         import scipy.sparse
@@ -341,9 +374,8 @@ def two_time_correlation(lv: Liouvillian, rho, a_op: np.ndarray, b_op: np.ndarra
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid[0] != 0 or np.any(np.diff(tau_grid) <= 0):
         raise ValueError("tau_grid must be strictly ascending from tau = 0")
-    rho = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    raw = propagate(lv.generator, vectorize(rho @ a_op), tau_grid)
+    dim = lv.layout.dim
+    raw = propagate(lv.generator, vectorize(_entries(lv, rho) @ a_op), tau_grid)
     xs = raw.reshape(len(tau_grid), dim, dim).transpose(0, 2, 1)
     return np.einsum("ij,kji->k", np.asarray(b_op, dtype=complex), xs)
 

@@ -7,7 +7,11 @@ from __future__ import annotations
 import numpy as np
 
 
-DENSE_EXPM_MAX_DIM = 256   # above this, propagate with expm_multiply on CSR
+DENSE_EXPM_MAX_DIM = 256   # above this, propagate by truncated Taylor series on CSR
+
+# largest 1-norm of a h for which 55 Taylor terms reach unit roundoff (Al-Mohy and
+# Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1)
+_THETA55 = 9.9
 
 # [13/13] Pade coefficients b_0..b_13 of exp, and the 1-norm theta_13 up to which
 # the approximant is accurate to double-precision unit roundoff (Higham, SIAM
@@ -46,27 +50,62 @@ def propagate(a, x0, t_grid) -> np.ndarray:
     sparse a); a grid with a single spacing is then sampled by uniform_powers,
     which doubles the block of done samples with each product (about 2 log2
     len(t_grid) products), any other grid by a matrix-vector product per
-    interval.  Above it, Al-Mohy and Higham's expm_multiply per interval on
-    a as CSR.
+    interval.  Above it, each interval is one step of Al-Mohy and Higham's
+    truncated Taylor series (Alg. 3.2, theta_55) on a as CSR, its number of
+    sub-steps planned once per distinct spacing (_taylor_action).
     """
     steps, index = distinct_steps(t_grid)
-    dense = a.shape[0] <= DENSE_EXPM_MAX_DIM
-    if dense:
+    if a.shape[0] > DENSE_EXPM_MAX_DIM:
+        advance = _taylor_action(a, steps)
+    else:
         # duck-typed, so dense callers do not import scipy.sparse (1.5 MiB)
         a = a.toarray() if hasattr(a, "toarray") else np.asarray(a, dtype=complex)
         step_maps = [expm(a * dt) for dt in steps]
         if len(step_maps) == 1:
             return uniform_powers(step_maps[0], x0, len(index) + 1)
-    else:
-        import scipy.sparse.linalg   # imported on use, to keep `import epqed` light
 
-        a = scipy.sparse.csr_matrix(a, dtype=complex)   # no copy for a complex CSR a
+        def advance(i, x):
+            return step_maps[i] @ x
     out = np.empty((len(index) + 1, a.shape[0]), dtype=complex)
     out[0] = x0
     for k, i in enumerate(index):
-        out[k + 1] = (step_maps[i] @ out[k] if dense
-                      else scipy.sparse.linalg.expm_multiply(a * steps[i], out[k]))
+        out[k + 1] = advance(i, out[k])
     return out
+
+
+def _taylor_action(a, steps):
+    """advance(i, x) = exp(a steps[i]) x by truncated Taylor series on a as CSR.
+
+    Al-Mohy and Higham's Alg. 3.2 (SIAM J. Sci. Comput. 33, 488 (2011)) with
+    its plan made once: b = a - mu I with mu = tr(a)/n, and for each spacing h,
+    s = ceil(|b|_1 h / theta_55) sub-steps.  A sub-step sums at most 55 terms
+    of exp(b h/s) x, stopping once two successive terms are below 2^-53 of
+    the sum's largest entry, and multiplies by exp(mu h/s).
+    """
+    import scipy.sparse   # imported on use, to keep `import epqed` light
+
+    a = scipy.sparse.csr_matrix(a, dtype=complex)   # no copy for a complex CSR a
+    n = a.shape[0]
+    mu = a.diagonal().sum() / n
+    b = a - mu * scipy.sparse.identity(n, dtype=complex, format="csr")
+    norm = np.bincount(b.indices, weights=np.abs(b.data), minlength=n).max()
+    substeps = np.maximum(np.ceil(norm * steps / _THETA55), 1).astype(int)
+
+    def advance(i, x):
+        h = steps[i] / substeps[i]
+        for _ in range(substeps[i]):
+            total, term = x.copy(), x
+            previous = np.abs(term).max()
+            for j in range(1, 56):
+                term = (h / j) * (b @ term)
+                size = np.abs(term).max()
+                total += term
+                if previous + size <= 2.0**-53 * np.abs(total).max():
+                    break
+                previous = size
+            x = np.exp(mu * h) * total
+        return x
+    return advance
 
 
 def expm(a) -> np.ndarray:

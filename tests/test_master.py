@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from epqed.errors import (AccuracyError, BuildError, DegenerateSteadyStateError,
+from epqed.errors import (AccuracyError, BuildError, DegenerateSteadyStateError, EmbedError,
                           MemoryLimitError)
+from epqed import hilbert, master
 from epqed.hilbert import SpaceLayout, cavity_ops, product_ket, qubit_lowering
-from epqed import master
 from epqed.master import (DensityMatrix, Liouvillian, SteadyStateSolver, build_liouvillian,
                           convergence_check, evolve, steady_state,
                           two_time_correlation, unvectorize, vacuum_state, vectorize)
+from epqed.numerics import DENSE_EXPM_MAX_DIM
 from epqed.params import DriveSpec, ModelParams
 
 
@@ -360,6 +361,86 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))                  # negative eigenvalue
     dm = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
     assert dm.dim == 2
+
+
+def old_clean(raw):
+    """One sample's Hermitian part over its trace, on its own: the stacked _clean's reference."""
+    m = 0.5 * (raw + raw.conj().T)
+    return m / np.trace(m).real
+
+
+def recorded_propagate(monkeypatch, edit=lambda raw: raw):
+    """Make master's propagate return edit(its result) and keep those in the returned list."""
+    raws, propagate = [], master.propagate
+
+    def record(*args):
+        raws.append(edit(propagate(*args)))
+        return raws[-1]
+    monkeypatch.setattr(master, "propagate", record)
+    return raws
+
+
+# dense (N^2 = 64 at 61 samples, fig4's) and sparse (N^2 = 324, driven) propagation
+evolve_cases = [
+    (SpaceLayout(1, 2), None, np.linspace(0.0, 1.5, 61)),
+    (SpaceLayout(1, 3), DriveSpec(omega_drive=0.5, amplitude=0.8), np.linspace(0.0, 0.25, 6)),
+]
+
+
+@pytest.mark.parametrize("lay, drive, t", evolve_cases)
+def test_stacked_states_equal_per_sample_clean(monkeypatch, lay, drive, t):
+    raws = recorded_propagate(monkeypatch)
+    lv = build_liouvillian(ModelParams.from_delta_phi(np.pi, g=10.0, kappa=20.0, gamma=1.0),
+                           lay, drive=drive)
+    res = evolve(lv, DensityMatrix.from_ket(product_ket(lay, (1,), 0, 0)), t)
+    assert len(raws) == 1 and len(res.states) == len(t)
+    c_l, _ = cavity_ops(lay)
+    n_l = c_l.conj().T @ c_l
+    for raw, state, n in zip(raws[0], res.states, res.expect(n_l)):
+        assert np.abs(state.entries - old_clean(unvectorize(raw, lay.dim))).max() <= 1e-15
+        assert abs(n - hilbert.expect(n_l, state.entries)) <= 1e-15
+
+
+@pytest.mark.parametrize("lay, drive, t", evolve_cases)
+def test_stacked_check_rejects_one_negative_sample(monkeypatch, lay, drive, t):
+    # one sample of unit trace and Hermitian but with eigenvalue -0.5
+    bad = np.zeros((lay.dim, lay.dim))
+    bad[0, 0], bad[1, 1] = 1.5, -0.5
+
+    def one_bad(raw):
+        raw[len(raw) // 2] = vectorize(bad)
+        return raw
+    raws = recorded_propagate(monkeypatch, one_bad)
+    lv = build_liouvillian(ModelParams(g=5.0, kappa=20.0, gamma=1.0), lay, drive=drive)
+    with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+        evolve(lv, vacuum_state(lay), t)
+    assert len(raws) == 1
+
+
+def test_trace_drift_raises_accuracy_error_on_the_sparse_branch():
+    lay = SpaceLayout(1, 3)
+    lv = build_liouvillian(ModelParams(g=5.0, kappa=20.0, gamma=1.0), lay)
+    assert lv.generator.shape[0] > DENSE_EXPM_MAX_DIM
+    gain = Liouvillian(generator=lv.generator + 0.1 * scipy.sparse.identity(lay.dim**2),
+                       layout=lay)
+    with pytest.raises(AccuracyError, match="trace drift"):
+        evolve(gain, vacuum_state(lay), np.linspace(0, 2, 3))
+
+
+@pytest.mark.parametrize("lay", [SpaceLayout(1, 2), SpaceLayout(1, 3)])
+def test_state_of_the_wrong_size_raises_embed_error(lay):
+    # both the dense (N^2 = 64) and the sparse (N^2 = 324) branch check before propagating
+    lv = build_liouvillian(ModelParams(g=5.0, kappa=20.0, gamma=1.0), lay)
+    other = SpaceLayout(1, 3) if lay.dim != 18 else SpaceLayout(1, 2)
+    rho = vacuum_state(other)
+    c_l, _ = cavity_ops(lay)
+    message = f"{(other.dim, other.dim)}.*{lay.dim}-dimensional"
+    with pytest.raises(EmbedError, match=message):
+        evolve(lv, rho, np.linspace(0.0, 0.1, 3))
+    with pytest.raises(EmbedError, match=message):
+        evolve(lv, rho.entries, np.linspace(0.0, 0.1, 3))
+    with pytest.raises(EmbedError, match=message):
+        two_time_correlation(lv, rho, c_l.conj().T, c_l, np.linspace(0.0, 0.1, 3))
 
 
 def test_evolution_drift_diagnostics():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -93,6 +94,13 @@ def test_expm_matches_scipy_on_small_liouvillians(delta_phi, g, kappa, gamma, r_
     assert expm_error(a * (10.0**log_norm / np.abs(a).sum(axis=0).max())) <= 1e-12
 
 
+def fresh_interpreter(code: str) -> str:
+    """Standard output of code run by a new interpreter that imports epqed from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(numerics.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_dense_propagation_does_not_load_scipy_linalg():
     # numpy's and scipy's OpenBLAS keep separate thread pools; dense propagation
     # must stay on numpy's
@@ -117,10 +125,30 @@ c_l = cavity_ops(lay)[0]
 two_time_correlation(lv, rho, c_l.conj().T, c_l, np.linspace(0.0, 0.5, 6))
 print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
 """
-    env = dict(os.environ, PYTHONPATH=str(Path(numerics.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert fresh_interpreter(code).strip() == "[]"
+
+
+def test_sparse_propagation_does_not_load_scipy_sparse_linalg():
+    # the sparse branch is numpy and CSR products only; scipy.sparse.linalg would
+    # add its modules to every master-equation process
+    code = """
+import sys
+import numpy as np
+from epqed.hilbert import SpaceLayout, cavity_ops
+from epqed.master import build_liouvillian, evolve, two_time_correlation, vacuum_state
+from epqed.numerics import DENSE_EXPM_MAX_DIM
+from epqed.params import DriveSpec, ModelParams
+
+p = ModelParams.from_delta_phi(0.0, g=5.0, kappa=20.0, gamma=1.0)
+lay = SpaceLayout(1, 3)
+lv = build_liouvillian(p, lay, drive=DriveSpec(omega_drive=0.0, amplitude=0.5))
+assert lv.generator.shape[0] > DENSE_EXPM_MAX_DIM
+rho = evolve(lv, vacuum_state(lay), np.linspace(0.0, 0.5, 6)).states[-1]
+c_l = cavity_ops(lay)[0]
+two_time_correlation(lv, rho, c_l.conj().T, c_l, np.array([0.0, 0.1, 0.3]))
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse.linalg")))
+"""
+    assert fresh_interpreter(code).strip() == "[]"
 
 
 grids = st.one_of(
@@ -254,6 +282,44 @@ def test_propagate_large_generator_uses_sparse_branch():
     for t_grid in (np.linspace(0.0, 0.3, 4), np.array([0.05, 0.06, 0.2, 0.25])):
         assert_allclose(propagate(lv.matrix, x0, t_grid),
                         expm_oracle(lv.matrix, x0, t_grid), rtol=1e-10, atol=1e-10)
+
+
+# random driven one-qubit models at Fock cutoff 3, N^2 = 324 > DENSE_EXPM_MAX_DIM
+driven_models = st.builds(
+    lambda g, kappa, gamma, r_abs, phi, amp, omega_d: (
+        ModelParams(g=g, kappa=kappa, gamma=gamma, r_abs=r_abs, phi_prop=phi),
+        DriveSpec(omega_drive=omega_d, amplitude=amp)),
+    st.floats(0.0, 10.0), st.floats(0.5, 30.0), st.floats(0.1, 5.0), st.floats(0.0, 1.0),
+    st.floats(-np.pi, np.pi), st.floats(0.0, 2.0), st.floats(-10.0, 10.0))
+
+# uniform, mixed-spacing and one-sample grids on t <= 1, and one interval of up to
+# 2, which takes tens of sub-steps
+sparse_grids = st.one_of(
+    st.builds(lambda t1, n: np.linspace(0.0, t1, n), st.floats(0.05, 1.0), st.integers(2, 12)),
+    st.lists(st.integers(0, 40), min_size=2, max_size=12, unique=True)
+    .map(lambda ks: np.sort(np.array(ks)) / 40.0),
+    st.floats(0.0, 1.0).map(lambda t: np.array([t])),
+    st.floats(0.2, 2.0).map(lambda t1: np.array([0.0, t1])),
+)
+
+
+@given(model=driven_models, seed=st.integers(0, 2**32 - 1), t_grid=sparse_grids)
+@settings(max_examples=40, deadline=None)
+def test_sparse_branch_matches_expm_multiply_per_interval(model, seed, t_grid):
+    # the Taylor plan made once per spacing gives scipy's per-interval result (its
+    # own plan each call; deviations seen up to 3e-14 of a sample's largest entry)
+    p, drive = model
+    lv = build_liouvillian(p, SpaceLayout(1, 3), drive=drive)
+    assert lv.generator.shape[0] > DENSE_EXPM_MAX_DIM
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(324) + 1j * rng.standard_normal(324)
+    ref = [x0]
+    for dt in np.diff(t_grid):
+        ref.append(scipy.sparse.linalg.expm_multiply(lv.generator * dt, ref[-1]))
+    ref = np.array(ref)
+    out = propagate(lv.generator, x0, t_grid)
+    assert out.shape == ref.shape
+    assert (np.abs(out - ref).max(axis=1) <= 1e-12 * np.abs(ref).max(axis=1)).all()
 
 
 def test_linspace_grid_has_one_step():
