@@ -145,10 +145,3 @@ def _interp_extremum(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, fl
     if 0 < i < len(x) - 1 and finite[i - 1] and finite[i + 1]:
         return quadratic_extremum(x, y, i)
     return float(x[i]), float(y[i])
-
-
-def critical_coupling(kappa: float, gamma: float) -> float:
-    """Strong-coupling threshold sqrt(kappa^2 + gamma^2)/4 of the reference cavity."""
-    if kappa < 0 or gamma < 0:
-        raise ValueError("rates must be nonnegative")
-    return float(np.sqrt(kappa**2 + gamma**2) / 4.0)

@@ -186,16 +186,6 @@ def max_concurrence(params: ModelParams, t_grid) -> float:
     return quadratic_extremum(t_grid, c, i)[1]
 
 
-def concurrence_phase_scan(params: ModelParams, t_grid, relative_phases) -> np.ndarray:
-    """max_t C(t) as the second qubit's azimuthal phase offset is varied."""
-    phi1 = params.phi_azim_list(2)[0]
-    out = []
-    for dphi2 in relative_phases:
-        p = params.replace(phi_azim=(phi1, phi1 + float(dphi2)))
-        out.append(max_concurrence(p, t_grid))
-    return np.array(out)
-
-
 def late_decay_rate(times, values, window: tuple[float, float]) -> float:
     """Negated least-squares slope of log(values) on the time window."""
     times = np.asarray(times, dtype=float)

@@ -45,10 +45,6 @@ class NoBicError(EpqedError, ValueError):
     """No bound state exists for the given coupling and decay rates."""
 
 
-class CooperativityUndefinedError(EpqedError, ValueError):
-    """Cooperativity 8g^2/(kappa*gamma) undefined for gamma = 0."""
-
-
 class FitError(EpqedError, RuntimeError):
     """Lineshape fit failed (no peak, bad data)."""
 

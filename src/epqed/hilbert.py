@@ -108,10 +108,6 @@ def sigma_minus() -> np.ndarray:
     return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
 def embed(op: np.ndarray, slot: int, layout: SpaceLayout) -> np.ndarray:
     """Single-slot operator on the layout's basis: <i|op|j> = op[i_slot, j_slot]
     where states i and j agree in every other slot, else 0."""

@@ -25,14 +25,7 @@ from .errors import DivergenceError, FitError, UndefinedPurcellError
 from .hilbert import SpaceLayout, cavity_ops, product_ket
 from .params import ModelParams
 
-# SI constants (scipy.constants' values; only eps0 is not exact), so importing needs no scipy
-E_CHARGE = 1.602176634e-19           # C
-HBAR = 6.62607015e-34 / (2 * np.pi)  # J*s
-C_LIGHT = 299792458.0                # m/s
-EPSILON_0 = 8.8541878188e-12         # F/m
-HBAR_EVS = HBAR / E_CHARGE  # hbar in eV*s
-DEBYE = 1e-21 / C_LIGHT     # C*m per Debye
-FIT_MAX_ITER = 200          # Gauss-Newton iterations before a fit counts as unconverged
+FIT_MAX_ITER = 200  # Gauss-Newton iterations before a fit counts as unconverged
 
 
 @dataclass(frozen=True)
@@ -115,39 +108,6 @@ def enhancement_eta(delta_phi: float, r_abs: float, params: ModelParams) -> floa
     j_dp = -p.g**2 * np.imag(chi_dp(p.omega_c, p))
     j_ep = -p.g**2 * np.imag(chi_ep(p.omega_c, p))
     return float(j_ep / j_dp + 1.0)
-
-
-def gamma_free(mu_debye: float, omega0_ev: float, n_b: float,
-               gamma0_ev: float | None = None) -> float:
-    """Free-space SE rate mu^2 w0^3 n_b / (3 pi hbar eps0 c^3).
-
-    Returns the rate as an energy in eV, or in units of gamma0_ev when a
-    reference is given.
-    """
-    if mu_debye <= 0 or omega0_ev <= 0 or n_b <= 0:
-        raise ValueError("mu, omega0 and n_b must be positive")
-    mu = mu_debye * DEBYE
-    w0 = omega0_ev * E_CHARGE / HBAR
-    rate = mu**2 * w0**3 * n_b / (3.0 * np.pi * HBAR * EPSILON_0 * C_LIGHT**3)
-    rate_ev = rate * HBAR_EVS
-    return rate_ev if gamma0_ev is None else rate_ev / gamma0_ev
-
-
-def delay_check(length: float, group_velocity: float, params: ModelParams,
-                rate_unit_ev: float = 1.0) -> bool:
-    """True when photon propagation is fast against the system evolution.
-
-    length in meters, group_velocity in m/s; params rates are interpreted
-    as energies of rate_unit_ev each (1.0 = params already in eV).
-    """
-    if length <= 0 or group_velocity <= 0:
-        raise ValueError("length and group velocity must be positive")
-    t_prop = length / group_velocity
-    rates = [r * rate_unit_ev for r in (params.g, params.kappa, params.gamma) if r > 0]
-    if not rates:
-        return True
-    t_sys = HBAR_EVS / max(rates)
-    return t_prop <= 0.01 * t_sys
 
 
 # ---------------------------------------------------------------------------

@@ -117,17 +117,20 @@ def vacuum_state(layout: SpaceLayout) -> DensityMatrix:
 def _check_states(m: np.ndarray):
     """Raise ValueError unless every matrix of the (T, d, d) stack m is Hermitian
     (HERM_TOL), of unit trace (TRACE_TOL) and positive semidefinite (EIG_TOL), the
-    last by one stacked eigvalsh; the message reports the first sample that fails."""
+    last by one stacked eigvalsh; the message reports the first sample that fails.
+    Each test passes only where its comparison is True, so a NaN entry fails it."""
     herm = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if (herm > HERM_TOL).any():
-        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm[herm > HERM_TOL][0]:.3e}")
+    bad = ~(herm <= HERM_TOL)
+    if bad.any():
+        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm[bad][0]:.3e}")
     traces = np.trace(m, axis1=1, axis2=2).real
-    off = np.abs(traces - 1.0) > TRACE_TOL
-    if off.any():
-        raise ValueError(f"trace must be 1, got {traces[off][0]!r}")
+    bad = ~(np.abs(traces - 1.0) <= TRACE_TOL)
+    if bad.any():
+        raise ValueError(f"trace must be 1, got {traces[bad][0]!r}")
     lows = np.linalg.eigvalsh(m)[:, 0]
-    if (lows < -EIG_TOL).any():
-        raise ValueError(f"negative eigenvalue {lows[lows < -EIG_TOL][0]:.3e}")
+    bad = ~(lows >= -EIG_TOL)
+    if bad.any():
+        raise ValueError(f"negative eigenvalue {lows[bad][0]:.3e}")
 
 
 def _clean(raw: np.ndarray) -> np.ndarray:
@@ -250,7 +253,7 @@ def evolve(lv: Liouvillian, rho0, t_grid, step: float | None = None) -> Evolutio
     mats = raw.reshape(len(t_grid), dim, dim).transpose(0, 2, 1)  # order="F" unvec
     traces = np.einsum("kii->k", mats).real
     drift = np.abs(traces - 1.0).max()
-    if drift > TRACE_DRIFT_LIMIT:
+    if not drift <= TRACE_DRIFT_LIMIT:   # NaN fails it too
         raise AccuracyError(
             f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_LIMIT:g}; "
             "the generator does not preserve the trace")

@@ -1,7 +1,7 @@
 """Physical parameters of the emitter + two-mode chiral cavity system.
 
 All rates are dimensionless, expressed in units of a reference decay rate
-gamma0 = 1 (conversions to eV live in :mod:`epqed.ldos` and the CLI).
+gamma0 = 1 (the CLI converts to eV).
 Frequencies are absolute; most computations subtract a rotating-frame
 reference so only detunings matter.
 """

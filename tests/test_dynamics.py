@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from epqed import dynamics
-from epqed.dynamics import (amplitude_evolve, concurrence_phase_scan,
-                            concurrence_series, excited_qubit_state,
-                            late_decay_rate, max_concurrence,
-                            rabi_peak_envelope, steady_populations_analytic,
-                            trapped_population)
+from epqed.cli import main
+from epqed.dynamics import (amplitude_evolve, concurrence_series, excited_qubit_state,
+                            late_decay_rate, max_concurrence, rabi_peak_envelope,
+                            steady_populations_analytic, trapped_population)
 from epqed.errors import RateUndefinedError
 from epqed.hilbert import SpaceLayout, product_ket
 from epqed.master import DensityMatrix, build_liouvillian, evolve
@@ -282,10 +281,15 @@ def test_resonant_concurrence_bounded_by_half():
     assert c_max > 0.4
 
 
-def test_phase_scan_prefers_equal_phases():
-    p = ep(np.pi, g=100.0, omega0=232.0)
-    t = np.linspace(0.0, 0.1, 2001)
-    scan = concurrence_phase_scan(p, t, [0.0, np.pi / 3, 2 * np.pi / 3])
+def test_phase_scan_prefers_equal_phases(tmp_path):
+    # the CLI's sweep of the second qubit's azimuthal offset over 0, pi/3, 2 pi/3
+    # at ep(pi, g=100, omega0=232) on t = linspace(0, 0.1, 2001)
+    assert main(["concurrence", "--delta-phi", str(np.pi), "--g", "100", "--d0c", "232",
+                 "--set", "t_max=0.1", "--set", "t_points=2001",
+                 "--sweep", f"phi2_offset=0:{2 * np.pi / 3!r}:3", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "concurrence.csv").read_text().splitlines()
+    assert lines[1] == "phi2_offset[1],c_max[1]"
+    scan = np.array([float(ln.split(",")[1]) for ln in lines[2:]])
     assert scan[0] == max(scan)
     assert scan.shape == (3,)
 

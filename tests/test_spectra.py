@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from epqed.dynamics import amplitude_evolve, excited_qubit_state
-from epqed.errors import (CooperativityUndefinedError, DivergenceError,
-                          NoBicError)
+from epqed.errors import DivergenceError, EpqedError, NoBicError
 from epqed.ldos import spectral_density, transparency_detuning
 from epqed.params import ModelParams
 from epqed.spectra import (DEFECT_EIGVAL_TOL, DEFECT_OVERLAP_TOL, EigenMode,
-                           approx_eigenvalues, coupling_matrix, delta_omega_bic,
-                           delta_phi_bic, eigenmode_sweep, eigenmodes,
-                           lamb_shift, local_coupling, min_decay, se_spectrum,
-                           spectrum_peaks)
+                           coupling_matrix, delta_omega_bic, delta_phi_bic,
+                           eigenmode_sweep, eigenmodes, lamb_shift, local_coupling,
+                           min_decay, se_spectrum, spectrum_peaks)
 
 
 def ep(delta_phi, **kw):
@@ -71,7 +69,7 @@ def test_hopfield_at_bic():
     assert abs(bic.value.imag) < 1e-10
     # emitter and (summed) cavity weights are both one half
     assert bic.qubit_weight == pytest.approx(0.5, abs=1e-3)
-    assert bic.cavity_weight == pytest.approx(0.5, abs=1e-3)
+    assert bic.hopfield[:2].sum() == pytest.approx(0.5, abs=1e-3)
     assert bic.hopfield[0] == pytest.approx(0.25, abs=1e-3)
     assert bic.hopfield[1] == pytest.approx(0.25, abs=1e-3)
     assert bic.hopfield.sum() == pytest.approx(1.0, abs=1e-12)
@@ -85,7 +83,7 @@ def test_trapped_mode_qubit_weight_at_zero_phase():
     expected = kappa**2 / (8 * g**2 + kappa**2)
     assert trapped.qubit_weight == pytest.approx(expected, abs=1e-12)
     assert trapped.qubit_weight < 0.12
-    assert trapped.qubit_weight < trapped.cavity_weight
+    assert trapped.qubit_weight < trapped.hopfield[:2].sum()
 
 
 def test_passivity_over_random_draws():
@@ -286,6 +284,37 @@ def test_mixed_shapes_raise():
 # ---------------------------------------------------------------------------
 # perturbative eigenvalues
 # ---------------------------------------------------------------------------
+
+class CooperativityUndefinedError(EpqedError, ValueError):
+    """Cooperativity 8g^2/(kappa*gamma) undefined for gamma = 0."""
+
+
+def approx_eigenvalues(params: ModelParams) -> tuple[complex, complex, complex]:
+    """Second-order eigenvalue expansions (resonant case, relative to omega_c).
+
+    w_{1,2} = +-sqrt(2) g + (kappa/4) sin(dphi) - i[(cos(dphi)+1) kappa + gamma]/4
+    w_3     = (kappa/2) sin(dphi) [cos(dphi)/C - 1] - i (kappa/2)[cos(dphi) - 1]
+
+    with C = 8 g^2 / (kappa gamma); implemented verbatim, validity limits
+    included (no resummation).  The oracle of acceptance criterion 6.
+    """
+    if params.g <= 0:
+        raise ValueError("approximate eigenvalues need g > 0")
+    if params.gamma <= 0:
+        raise CooperativityUndefinedError(
+            "cooperativity in w_3 undefined for gamma = 0")
+    dphi = params.delta_phi
+    kappa, gamma, g = params.kappa, params.gamma, params.g
+    coop = 8.0 * g * g / (kappa * gamma)
+    split = np.sqrt(2.0) * g
+    shift = (kappa / 4.0) * np.sin(dphi)
+    decay = -0.25j * ((np.cos(dphi) + 1.0) * kappa + gamma)
+    w1 = -split + shift + decay
+    w2 = split + shift + decay
+    w3 = ((kappa / 2.0) * np.sin(dphi) * (np.cos(dphi) / coop - 1.0)
+          - 0.5j * kappa * (np.cos(dphi) - 1.0))
+    return complex(w1), complex(w2), complex(w3)
+
 
 def test_approx_eigenvalue_narrowing():
     p = ModelParams.from_delta_phi(np.pi, g=100.0, kappa=20.0, gamma=1.0)
