@@ -42,7 +42,7 @@ class SpectrumSeries:
         object.__setattr__(self, "value", v)
         if w.ndim != 1 or w.shape != v.shape:
             raise ValueError("omega and value must be 1-d arrays of equal length")
-        if len(w) >= 2 and np.any(np.diff(w) <= 0):
+        if not np.all(np.diff(w) > 0):   # NaN fails it too
             raise ValueError("frequency samples must be strictly ascending")
 
     def __len__(self):

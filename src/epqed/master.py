@@ -234,11 +234,13 @@ class EvolutionResult:
 
 
 def _entries(lv: Liouvillian, rho) -> np.ndarray:
-    """The matrix of a state or array rho, which must be square on lv's layout (EmbedError)."""
+    """The matrix of rho: square on lv's layout (EmbedError), and a valid state (ValueError)."""
     m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if m.shape != (lv.layout.dim, lv.layout.dim):
         raise EmbedError(f"state of shape {m.shape} does not fit the Liouvillian's "
                          f"{lv.layout.dim}-dimensional layout")
+    if not isinstance(rho, DensityMatrix):   # a DensityMatrix was checked when made
+        _check_states(m[None])
     return m
 
 
@@ -246,7 +248,7 @@ def evolve(lv: Liouvillian, rho0, t_grid, step: float | None = None) -> Evolutio
     """Propagate vec(drho/dt) = L vec(rho) exactly over an ascending grid;
     step is ignored, and stays only because the benchmark's workloads pass it."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
+    if not (t_grid[0] >= 0 and np.all(np.diff(t_grid) > 0)):   # NaN fails it too
         raise ValueError("t_grid must be ascending and start at t >= 0")
     dim = lv.layout.dim
     raw = propagate(lv.generator, vectorize(_entries(lv, rho0)), t_grid)
@@ -375,7 +377,7 @@ def two_time_correlation(lv: Liouvillian, rho, a_op: np.ndarray, b_op: np.ndarra
                          tau_grid) -> np.ndarray:
     """<A(0) B(tau)> = Tr{ B exp(L tau)[rho A] } for tau ascending from 0."""
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if tau_grid[0] != 0 or np.any(np.diff(tau_grid) <= 0):
+    if not (tau_grid[0] == 0 and np.all(np.diff(tau_grid) > 0)):   # NaN fails it too
         raise ValueError("tau_grid must be strictly ascending from tau = 0")
     dim = lv.layout.dim
     raw = propagate(lv.generator, vectorize(_entries(lv, rho) @ a_op), tau_grid)

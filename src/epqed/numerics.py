@@ -155,25 +155,6 @@ def uniform_powers(step_map, x0, n_samples: int) -> np.ndarray:
     return out
 
 
-def van_loan_integral(a, k, dt: float) -> np.ndarray:
-    """Q = int_0^dt exp(a^dag s) k exp(a s) ds: p^dag Q p integrates p^dag k p over a step.
-
-    exp([[-a^dag, k], [0, a]] h) = [[F1, G], [0, F2]] gives Q(h) = F2^dag G
-    (Van Loan, IEEE TAC 23, 395 (1978)).  F1 grows where a decays, so h =
-    dt/2^s with |a h| <= 1/2, doubled s times: Q <- Q + F2^dag Q F2, F2 <- F2^2.
-    """
-    n = a.shape[0]
-    scale = np.abs(a).sum(axis=0).max() * dt
-    doublings = int(np.ceil(np.log2(scale / 0.5))) if scale > 0.5 else 0
-    block = np.block([[-a.conj().T, k], [np.zeros_like(a), a]])
-    e = expm(block * (dt / 2**doublings))
-    f, q = e[n:, n:], e[n:, n:].conj().T @ e[:n, n:]
-    for _ in range(doublings):
-        q = q + f.conj().T @ q @ f
-        f = f @ f
-    return q
-
-
 def quadratic_extremum(x: np.ndarray, y: np.ndarray, index: int) -> tuple[float, float]:
     """Refine a discrete extremum by a parabola through its three neighbors."""
     if index <= 0 or index >= len(x) - 1:

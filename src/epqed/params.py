@@ -8,6 +8,7 @@ reference so only detunings matter.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,17 @@ class ModelParams:
     phi_azim: float | tuple[float, ...] = 0.0
 
     def __post_init__(self):
+        # each test passes only where its comparison is True, so NaN fails it
         for name in ("gamma", "kappa", "g"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if not 0.0 <= self.r_abs <= 1.0:
             raise ValueError(f"r_abs must lie in [0, 1], got {self.r_abs}")
+        for name in ("omega0", "omega_c", "phi_prop", "phi_azim"):
+            value = getattr(self, name)
+            finite = math.isfinite(value) if np.isscalar(value) else all(map(math.isfinite, value))
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def n_qubits(self) -> int:
@@ -98,7 +105,9 @@ class DriveSpec:
     target: str = "cavity_R"
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError(f"drive amplitude must be >= 0, got {self.amplitude}")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"drive amplitude must be >= 0 and finite, got {self.amplitude}")
+        if not math.isfinite(self.omega_drive):
+            raise ValueError(f"omega_drive must be finite, got {self.omega_drive}")
         if self.target not in ("cavity_L", "cavity_R"):
             raise ValueError(f"drive target must be cavity_L or cavity_R, got {self.target!r}")

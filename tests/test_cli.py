@@ -7,6 +7,7 @@ from epqed import dynamics, spectra
 from epqed.cli import DEFAULTS, build_parser, main, params_from_config, parse_sweep
 from epqed.errors import ConfigError
 from epqed.ldos import lorentzian_model
+from epqed.params import DriveSpec, ModelParams
 
 
 def read_csv(path):
@@ -291,6 +292,37 @@ def test_workers_parallel_sweep_deterministic(tmp_path):
 def test_parameter_validation_is_config_error(tmp_path, capsys):
     assert main(["dynamics", "--g", "-1", "--out", str(tmp_path)]) == 2
     assert "config error: g must be >= 0" in capsys.readouterr().err
+
+
+def test_nonfinite_values_are_config_errors(tmp_path, capsys):
+    # every comparison with NaN is False, so each check must be written to fail on it
+    for args, field in ((["dynamics", "--set", "g=NaN"], "g must be >= 0 and finite"),
+                        (["dynamics", "--set", "g=Infinity"], "g must be >= 0 and finite"),
+                        (["blockade", "--set", "g=NaN"], "g must be >= 0 and finite"),
+                        (["dynamics", "--set", "delta_phi=NaN"], "phi_prop must be finite"),
+                        (["dynamics", "--set", "t_max=NaN"], "strictly ascending"),
+                        (["ldos", "--set", "ldos_method=numerical", "--set", "omega_span=NaN"],
+                         "strictly ascending")):
+        with np.errstate(invalid="ignore", divide="ignore"):   # spectra of a NaN grid
+            assert main(args + ["--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", np.nan), ("kappa", np.inf), ("g", np.nan), ("omega0", np.nan),
+    ("omega0", (0.0, np.inf)), ("omega_c", -np.inf), ("phi_prop", np.nan),
+    ("phi_azim", (np.nan, 0.0))])
+def test_model_params_reject_nonfinite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be (>= 0 and )?finite"):
+        ModelParams(**{field: value})
+
+
+def test_drive_rejects_nonfinite_values():
+    for kwargs, message in (({"omega_drive": 0.0, "amplitude": np.nan}, "amplitude"),
+                            ({"omega_drive": 0.0, "amplitude": np.inf}, "amplitude"),
+                            ({"omega_drive": np.nan, "amplitude": 0.2}, "omega_drive")):
+        with pytest.raises(ValueError, match=message):
+            DriveSpec(**kwargs)
 
 
 def test_sweep_failed_point_is_nan_row_and_recorded(tmp_path, capsys):

@@ -382,6 +382,12 @@ def test_spectral_density_does_not_depend_on_the_cutoff():
     assert np.abs(j6 - j2).max() <= 1e-15 * np.abs(j2).max()
 
 
+def test_spectrum_series_rejects_nan_frequencies():
+    for w in ([0.0, np.nan, 1.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            SpectrumSeries(w, np.zeros(len(w)))
+
+
 def test_numerical_requires_cavity_only_layout():
     with pytest.raises(ValueError):
         numerical_spectral_density(P0, SpaceLayout(1, 2), np.linspace(-1, 1, 5))

@@ -258,7 +258,8 @@ def test_correlator_tau_grid_must_ascend_from_zero():
     lay = SpaceLayout(0, 2)
     lv = build_liouvillian(p, lay)
     c_l, _ = cavity_ops(lay)
-    for tau in ([0.1, 0.2], [0.2, 0.1], [0.0, 0.2, 0.1], [0.0, 0.1, 0.1]):
+    for tau in ([0.1, 0.2], [0.2, 0.1], [0.0, 0.2, 0.1], [0.0, 0.1, 0.1], [0.0, np.nan, 1.0],
+                [np.nan, 1.0]):
         with pytest.raises(ValueError, match="ascending from tau = 0"):
             two_time_correlation(lv, _single_photon_L(lay), c_l.conj().T, c_l, tau)
     corr = two_time_correlation(lv, _single_photon_L(lay), c_l.conj().T, c_l, [0.0, 0.1])
@@ -371,8 +372,38 @@ def test_nan_states_are_rejected():
         DensityMatrix.from_ket(np.zeros(2))
     lay = SpaceLayout(0, 2)
     lv = build_liouvillian(ModelParams(g=1.0, kappa=2.0, gamma=1.0), lay)
-    with pytest.raises(AccuracyError, match="trace drift nan"):
+    with pytest.raises(ValueError, match="not Hermitian: .* = nan"):
         evolve(lv, np.full((lay.dim, lay.dim), np.nan), np.linspace(0.0, 1.0, 3))
+    nan_lv = Liouvillian(lv.generator * np.nan, lay)
+    with pytest.raises(AccuracyError, match="trace drift nan"):
+        evolve(nan_lv, vacuum_state(lay), np.linspace(0.0, 1.0, 3))
+
+
+def test_array_states_are_checked_before_propagating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("propagated a state that fails its check")
+
+    monkeypatch.setattr(master, "propagate", refuse)
+    lay = SpaceLayout(0, 2)
+    lv = build_liouvillian(ModelParams(g=1.0, kappa=2.0, gamma=1.0), lay)
+    negative = np.zeros((lay.dim, lay.dim))
+    negative[0, 0], negative[1, 1] = 1.5, -0.5
+    c_l, _ = cavity_ops(lay)
+    for rho, message in ((2 * vacuum_state(lay).entries, "trace must be 1"),
+                         (negative, "negative eigenvalue -5.000e-01")):
+        with pytest.raises(ValueError, match=message):
+            evolve(lv, rho, np.linspace(0.0, 1.0, 3))
+        with pytest.raises(ValueError, match=message):
+            two_time_correlation(lv, rho, c_l.conj().T, c_l, [0.0, 0.1])
+
+
+def test_evolve_rejects_nan_grids():
+    # every comparison with NaN is False, so the check must be written to fail on it
+    lay = SpaceLayout(0, 2)
+    lv = build_liouvillian(ModelParams(g=1.0, kappa=2.0, gamma=1.0), lay)
+    for t in ([0.0, np.nan, 1.0], [np.nan, 1.0], [np.nan]):
+        with pytest.raises(ValueError, match="ascending and start at t >= 0"):
+            evolve(lv, vacuum_state(lay), t)
 
 
 def old_clean(raw):
