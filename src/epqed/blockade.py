@@ -4,9 +4,10 @@ The right CCW mode is driven coherently (the left one receives the
 mirror-mediated feed), the left mode's statistics are read out; both
 choices are configurable.  All quantities come from the steady state of the
 driven generator, built once in the cavity frame and shifted to the drive
-frequency, a CSR matrix solved by one banded LU of its
-reverse-Cuthill-McKee-ordered, trace-completed form, in the basis
-`solve_layout` picks.
+frequency, a CSR matrix whose reverse-Cuthill-McKee-ordered,
+trace-completed form is solved in the basis `solve_layout` picks: by one
+banded LU for a single point, and for a detuning sweep by one banded LU
+for all its points, through a Krylov basis shared by every shift.
 """
 from __future__ import annotations
 
@@ -43,6 +44,8 @@ class BlockadeSweep:
     max_n_L: float
     max_n_L_detuning: float
     errors: list[list] = field(default_factory=list)   # [detuning, "TypeName: message"]
+    krylov_dim: int = 0              # size of the shared Krylov basis
+    base_detuning: float = np.nan    # the detuning of the sweep's one banded LU
 
 
 def solve_layout(layout: SpaceLayout) -> SpaceLayout:
@@ -92,21 +95,22 @@ def _statistics(rho: master.DensityMatrix, c_m: np.ndarray, detuning: float,
                           n_L=float(n_val), residual=residual)
 
 
-def _point_solver(params: ModelParams, drive: DriveSpec, layout: SpaceLayout, measure: str):
-    """det -> BlockadeResult at drive detuning det = omega_d - omega_c: one build of L
-    in the cavity frame and one SteadyStateSolver, each point a shift of its diagonal."""
+def _solver(params: ModelParams, drive: DriveSpec, layout: SpaceLayout, measure: str):
+    """One build of L in the cavity frame, its SteadyStateSolver (each detuning
+    det = omega_d - omega_c a shift of its diagonal) and the measured mode."""
     _check_preconditions(params, drive, layout)
     layout = solve_layout(layout)
     solve = master.SteadyStateSolver(
         master.build_liouvillian(params, layout, drive=drive, frame=params.omega_c))
-    c_m = _measure_ops(layout, measure)
-    return lambda det: _statistics(solve(det), c_m, det, solve.residual)
+    return solve, _measure_ops(layout, measure)
 
 
 def g2_zero(params: ModelParams, drive: DriveSpec, layout: SpaceLayout,
             measure: str = "cavity_L") -> BlockadeResult:
-    """Steady-state g2(0) = <c+c+cc>/<c+c>^2 of the measured mode."""
-    return _point_solver(params, drive, layout, measure)(drive.omega_drive - params.omega_c)
+    """Steady-state g2(0) = <c+c+cc>/<c+c>^2 of the measured mode, from one banded LU."""
+    solve, c_m = _solver(params, drive, layout, measure)
+    det = drive.omega_drive - params.omega_c
+    return _statistics(solve(det), c_m, det, solve.residual)
 
 
 def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
@@ -115,14 +119,21 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
 
     drive.omega_drive is not read: the grid gives the detunings.  The
     generator is affine in the drive frequency (the frame rotation shifts
-    its diagonal by the excitation-number difference), so the sweep reuses
-    one build in the cavity frame and one ordering (and band layout) of the
-    steady-state system, and each point, as in g2_zero, only shifts its
-    diagonal.  A point that fails by errors.each_point's policy is recorded
-    in `errors` with NaN results and the sweep continues.
+    its diagonal by the excitation-number difference), so the sweep builds
+    L once in the cavity frame, orders the steady-state system once, and
+    solves every detuning from one banded LU at a base detuning near the
+    grid's middle by SteadyStateSolver.sweep's shared Krylov basis.  Each
+    point keeps its own residual check; one that misses it is solved by
+    its own banded LU, as g2_zero solves it.  A point that fails by
+    errors.each_point's policy is recorded in `errors` with NaN results and
+    the sweep continues.  `krylov_dim` and `base_detuning` record the
+    basis size and the base detuning (0 and NaN when no basis was built).
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
-    rows, errors = each_point(detuning_grid, _point_solver(params, drive, layout, measure))
+    solve, c_m = _solver(params, drive, layout, measure)
+    state = solve.sweep(detuning_grid)
+    rows, errors = each_point(
+        detuning_grid, lambda det: _statistics(state(det), c_m, det, solve.residual))
     results = [BlockadeResult(detuning=float(det), g2=np.nan, n_L=np.nan) if r is None else r
                for det, r in zip(detuning_grid, rows)]
 
@@ -131,7 +142,8 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
     min_det, min_g2 = _interp_extremum(detuning_grid, g2_vals, kind="min")
     max_det, max_nl = _interp_extremum(detuning_grid, nl_vals, kind="max")
     return BlockadeSweep(results=results, min_g2=min_g2, min_g2_detuning=min_det,
-                         max_n_L=max_nl, max_n_L_detuning=max_det, errors=errors)
+                         max_n_L=max_nl, max_n_L_detuning=max_det, errors=errors,
+                         krylov_dim=solve.krylov_dim, base_detuning=solve.base_shift)
 
 
 def _interp_extremum(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, float]:

@@ -71,6 +71,7 @@ _FREQ_COLS = ("omega", "detuning", "delta_0c", "delta_omega", "J", "J_dp", "J_ep
 # per-experiment defaults over DEFAULTS: spectrum peaks need a finer grid
 _EXPERIMENT_DEFAULTS = {"spectrum": {"omega_points": 4001}}
 _RESIDUAL = "steady_state_residual"   # per-point blockade key, moved to the sidecar
+_SHARED_BASIS = ("krylov_dim", "base_detuning")   # a detuning sweep's, moved to the sidecar
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,9 @@ def params_from_config(cfg: dict, n_qubits: int = 1) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 def _exp_ldos(cfg: dict):
+    if not 0.0 < cfg["omega_span"] < np.inf:   # NaN fails it too
+        raise ConfigError("the frequency grid must be strictly ascending: omega_span must "
+                          f"be positive and finite, got {cfg['omega_span']!r}")
     p = params_from_config(cfg)
     span = cfg["omega_span"] * cfg["kappa"]
     w = np.linspace(cfg["omega_c"] - span, cfg["omega_c"] + span, cfg["omega_points"])
@@ -322,7 +326,8 @@ def _blockade_sweep(cfg: dict, values: np.ndarray):
                             measure=cfg["measure"])
     rows = [{"g2": r.g2, "n_L": r.n_L, _RESIDUAL: r.residual} for r in res.results]
     summary = {"min_g2": res.min_g2, "min_g2_detuning": res.min_g2_detuning,
-               "max_n_L": res.max_n_L, "max_n_L_detuning": res.max_n_L_detuning}
+               "max_n_L": res.max_n_L, "max_n_L_detuning": res.max_n_L_detuning,
+               "krylov_dim": res.krylov_dim, "base_detuning": res.base_detuning}
     return rows, summary, res.errors
 
 
@@ -426,7 +431,10 @@ def run(experiment: str, cfg: dict, sweep=None,
     {fock_cutoff, max_excitations, dim}; for a sweep over fock_cutoff it is a
     list with one entry per point (null where SpaceLayout rejects the cutoff).
     Its `diagnostics` hold the largest steady-state residual |L vec(rho)| over
-    the solved points (null when none was solved).
+    the solved points (null when none was solved) and, for a detuning sweep,
+    the size of the Krylov basis its points shared (`krylov_dim`, 0 when each
+    point was solved by its own LU) and the detuning of its one banded LU
+    (`base_detuning`, null when none); both are null for other runs.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     errors, extra = [], {}
@@ -446,10 +454,11 @@ def run(experiment: str, cfg: dict, sweep=None,
             rows, summary, errors = _blockade_sweep(cfg, values)
         else:
             rows, summary, errors = _generic_sweep(experiment, cfg, name, values)
-    if experiment == "blockade":   # the residual goes to the sidecar, not the tables
+    if experiment == "blockade":   # the solver's numbers go to the sidecar, not the tables
         residuals = [r.pop(_RESIDUAL) for r in rows if r is not None]
         extra["diagnostics"] = {"max_steady_state_residual": max(
-            (x for x in residuals if np.isfinite(x)), default=np.nan)}
+            (x for x in residuals if np.isfinite(x)), default=np.nan),
+            **{key: summary.pop(key, None) for key in _SHARED_BASIS}}
         extra["basis"] = (
             each_point(values, lambda v: _solved_basis(_point_config(cfg, name, v)))[0]
             if sweep is not None and name == "fock_cutoff" else _solved_basis(cfg))

@@ -33,6 +33,12 @@ EIG_TOL = 1e-10
 TRACE_DRIFT_LIMIT = 1e-8
 KERNEL_TOL = 1e-8         # singular values below this fraction of the largest span L's kernel
 CONVERGENCE_TOL = 1e-6    # largest |<O>| deviation between cutoffs N and N + 1 that passes
+KRYLOV_TOL = 1e-13        # a sweep's shift is kept once its FOM residual estimate is
+                          # below this fraction of |A(s0)^-1 e| (in the scaled unknowns)
+KRYLOV_MAX_DIM = 400      # the basis stops at this size at most,
+KRYLOV_DIM_PER_SHIFT = 5  # or at this many vectors per shift: a step costs about a
+                          # twentieth of a banded solve, so open shifts fall back cheaply
+KRYLOV_MIN_SHIFTS = 8     # sweeps of fewer distinct shifts solve each point by its own LU
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +280,39 @@ class SteadyStateSolver:
     D is the diagonal detuning_derivative(lv.layout), so solve(s) is the
     steady state of the generator built in a frame s above L's: for L built
     in the cavity frame, of a drive detuned by s from omega_c.  The system
-    (L + s D) vec(rho) = 0 with Tr(rho) = 1 is solved by one banded LU per
-    shift (LAPACK zgbsv).  The first row of L (the equation for rho_00) is
-    replaced by the trace row and the completed system is put in reverse
-    Cuthill-McKee order, the heuristic that minimises its bandwidth:
-    kl = ku = 79 at N^2 = 529 (one qubit, K = 4).  That order, kl, ku and
-    the band position of every nonzero are found once; a solve scatters the
-    values of L into band storage of 16 N^2 (2 kl + ku + 1) bytes (checked
-    against physical memory up front, MemoryLimitError), adds the shifted
-    diagonal and factors in place.  Only when the factor is singular, or
-    leaves a residual |(L + s D) v| above 1e-10, is the dense spectrum
-    computed (guarded by MemoryLimitError) to classify the failure:
-    DegenerateSteadyStateError when the kernel is more than one-dimensional
-    within KERNEL_TOL (relative singular-value threshold), e.g. for
-    gamma = 0 undriven configurations supporting bound states, else
-    AccuracyError.  `residual` is the residual of the last solve.
+    A(s) vec(rho) = e, A(s) = L' + s D', is L + s D with its first row (the
+    equation for rho_00) replaced by the trace row Tr(rho) = 1, put in
+    reverse Cuthill-McKee order, the heuristic that minimises its
+    bandwidth: kl = ku = 79 at N^2 = 529 (one qubit, K = 4).  That order,
+    kl, ku and the band position of every nonzero are found once; the band
+    takes 16 N^2 (2 kl + ku + 1) bytes (checked against physical memory up
+    front, MemoryLimitError).
+
+    solve(s) scatters the values of L into band storage, adds the shifted
+    diagonal and factors one banded LU (LAPACK zgbsv).  sweep(shifts)
+    serves every shift of a sweep from one banded LU, of A(s0) at a grid
+    point s0 near the middle, by the shifted full orthogonalization method
+    (Simoncini, BIT 43, 459 (2003); Frommer and Glaessner, SIAM J. Sci.
+    Comput. 19, 15 (1998)): A(s0)^-1 A(s) = I + (s - s0) T with
+    T = A(s0)^-1 D', so one Arnoldi basis of T started from A(s0)^-1 e
+    serves every shift, each step one band back-substitution (zgbtrs) and
+    two passes of classical Gram-Schmidt.  The unknowns are scaled by
+    excitation order, so the small entries of high orders keep their
+    relative precision.  A shift is kept once its FOM residual estimate
+    is below KRYLOV_TOL; the basis stops at KRYLOV_DIM_PER_SHIFT vectors
+    per shift.  A shift left open, a point whose basis vector misses the
+    residual bound, every point when A(s0) is singular, and every point of
+    a sweep of fewer than KRYLOV_MIN_SHIFTS shifts is solved by solve(s).
+
+    Every point's residual |(L + s D) v| is computed; `residual` is the
+    last one.  Only when the factor is singular, or leaves a residual above
+    1e-10, is the dense spectrum computed (guarded by MemoryLimitError) to
+    classify the failure: DegenerateSteadyStateError when the kernel is
+    more than one-dimensional within KERNEL_TOL (relative singular-value
+    threshold), e.g. for gamma = 0 undriven configurations supporting bound
+    states, else AccuracyError.  After a sweep, `krylov_dim` and
+    `base_shift` are its basis size and s0 (0 and NaN when no basis was
+    built).
     """
 
     def __init__(self, lv: Liouvillian):
@@ -301,6 +325,7 @@ class SteadyStateSolver:
         self.dim = lv.layout.dim
         self.diagonal = detuning_derivative(lv.layout)
         self.residual = np.nan
+        self.krylov_dim, self.base_shift = 0, np.nan
         # pattern of the trace-completed system: the trace row, then rows 1.. of L
         rows = np.concatenate([np.zeros(self.dim, dtype=np.intp),
                                np.repeat(np.arange(1, n2), np.diff(self.lmat.indptr[1:]))])
@@ -323,30 +348,125 @@ class SteadyStateSolver:
         self.trace_row = new[0]
         self.shift_diag = self.diagonal[self.perm]
         self.shift_diag[self.trace_row] = 0.0   # the trace row does not shift
+        self.order = np.add.outer(lv.layout.excitations, lv.layout.excitations).ravel()[self.perm]
 
-    def __call__(self, shift: float = 0.0) -> DensityMatrix:
-        from scipy.linalg.lapack import zgbsv
-
-        n2 = self.lmat.shape[0]
-        ab = np.zeros((n2, 2 * self.kl + self.ku + 1), dtype=complex)
+    def _band(self, shift: float) -> np.ndarray:
+        """A(shift) in band storage, as the C-ordered transpose zgbsv and zgbtrf take."""
+        ab = np.zeros((self.lmat.shape[0], 2 * self.kl + self.ku + 1), dtype=complex)
         flat = ab.reshape(-1)
         flat[self.trace_pos] = 1.0
         flat[self.band_pos] = self.lmat.data[self.lmat.indptr[1]:]
         ab[:, self.kl + self.ku] += shift * self.shift_diag
-        rhs = np.zeros((n2, 1), dtype=complex)
+        return ab
+
+    def _trace_rhs(self) -> np.ndarray:
+        rhs = np.zeros((self.lmat.shape[0], 1), dtype=complex)
         rhs[self.trace_row] = 1.0
-        _, _, x, info = zgbsv(self.kl, self.ku, ab.T, rhs, overwrite_ab=1, overwrite_b=1)
+        return rhs
+
+    def _residual(self, shift: float, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """vec(rho) from the solution x in the solver's order, and |(L + s D) vec(rho)|
+        (inf unless x is finite)."""
+        v = np.empty_like(x)
+        v[self.perm] = x
+        if not np.all(np.isfinite(x)):
+            return v, np.inf
+        return v, float(np.linalg.norm(self.lmat @ v + shift * self.diagonal * v))
+
+    def _state(self, v: np.ndarray) -> DensityMatrix:
+        return DensityMatrix._checked(_clean(unvectorize(v, self.dim)[None])[0])
+
+    def __call__(self, shift: float = 0.0) -> DensityMatrix:
+        from scipy.linalg.lapack import zgbsv
+
+        _, _, x, info = zgbsv(self.kl, self.ku, self._band(shift).T, self._trace_rhs(),
+                              overwrite_ab=1, overwrite_b=1)
         if info < 0:
             raise RuntimeError(f"zgbsv rejected argument {-info}")
         residual = np.inf
-        if info == 0 and np.all(np.isfinite(x)):   # info > 0: the factor is exactly singular
-            v = np.empty(n2, dtype=complex)
-            v[self.perm] = x[:, 0]
-            residual = float(np.linalg.norm(self.lmat @ v + shift * self.diagonal * v))
+        if info == 0:   # info > 0: the factor is exactly singular
+            v, residual = self._residual(shift, x[:, 0])
         self.residual = residual
         if residual > 1e-10:
             self._classify_failure(shift, residual)
-        return DensityMatrix._checked(_clean(unvectorize(v, self.dim)[None])[0])
+        return self._state(v)
+
+    def sweep(self, shifts):
+        """shift -> steady state, as self(shift), for the shifts of one sweep, whose
+        finite values share one banded LU and one Krylov basis."""
+        from scipy.linalg.blas import dznrm2, zgemm, zgemv
+        from scipy.linalg.lapack import zgbtrf, zgbtrs
+
+        grid = np.unique(np.asarray(shifts, dtype=float))
+        grid = grid[np.isfinite(grid)]
+        self.krylov_dim, self.base_shift = 0, np.nan
+        if len(grid) < KRYLOV_MIN_SHIFTS:   # cheaper solved one by one
+            return self
+        base = grid[np.abs(grid - (grid[0] + grid[-1]) / 2).argmin()]
+        lu, piv, info = zgbtrf(self._band(base).T, self.kl, self.ku, overwrite_ab=1)
+        if info != 0:   # info > 0: A(s0) is exactly singular
+            return self
+        b0 = zgbtrs(lu, self.kl, self.ku, self._trace_rhs(), piv)[0][:, 0]
+        # each unknown is scaled by the largest |b0| of its excitation order, so that the
+        # basis resolves the weak high orders (n_L, <c+c+cc>) to their own precision
+        peak = np.zeros(self.order.max() + 1)
+        np.maximum.at(peak, self.order, np.abs(b0))
+        scale = np.where(peak > 0, peak, 1.0)[self.order]
+        b0 /= scale
+        beta, sigma = dznrm2(b0), grid - base
+        # the orthonormal basis (one vector per row) and its Hessenberg matrix, both grown
+        # by doubling; the loop keeps to scipy's BLAS (numpy has its own pool)
+        basis, hess = np.empty((16, len(b0)), dtype=complex), np.zeros((17, 16), dtype=complex)
+        basis[0] = b0 / beta
+        top = min(KRYLOV_MAX_DIM, KRYLOV_DIM_PER_SHIFT * len(grid), len(b0))
+        coef = np.zeros((len(grid), top), dtype=complex)   # each kept shift's FOM iterate
+        open_, m, check = np.ones(len(grid), dtype=bool), 0, 10
+        while True:
+            w = zgbtrs(lu, self.kl, self.ku, (self.shift_diag * scale * basis[m])[:, None],
+                       piv, overwrite_b=1)[0][:, 0] / scale
+            size, known = dznrm2(w), basis[:m + 1].T
+            h = zgemv(1.0, known, w, trans=2)
+            w = zgemv(-1.0, known, h, beta=1.0, y=w, overwrite_y=1)
+            dh = zgemv(1.0, known, w, trans=2)
+            w = zgemv(-1.0, known, dh, beta=1.0, y=w, overwrite_y=1)
+            hess[:m + 1, m] = h + dh
+            hess[m + 1, m] = h_next = dznrm2(w)
+            m += 1
+            # h_next ~ 0 (or NaN): the basis spans an invariant subspace, exact for all shifts
+            exact = not h_next > 1e-14 * size
+            if exact or m in (check, top):
+                # an open shift is kept once its FOM residual |sigma h_next y_m| is small
+                check += max(10, m // 4)
+                y = _shifted_fom(hess[:m, :m], sigma[open_], beta)
+                now = np.flatnonzero(open_)
+                ok = exact | (np.abs(sigma[now] * h_next * y[:, -1]) <= KRYLOV_TOL * beta)
+                coef[now[ok], :m] = y[ok]
+                open_[now[ok]] = False
+                if exact or m == top or not open_.any():
+                    break
+            if m == len(basis):
+                basis = np.concatenate([basis, np.empty_like(basis)])
+                hess = np.pad(hess, ((0, m), (0, m)))
+            basis[m] = w / h_next
+        kept = ~open_   # the others are solved by their own LU
+        vecs = scale[:, None] * zgemm(1.0, basis[:m].T, np.asfortranarray(coef[kept, :m].T))
+        self.krylov_dim, self.base_shift = m, float(base)
+        shared = dict(zip(grid[kept], vecs.T))
+
+        def state(shift: float) -> DensityMatrix:
+            if shift in shared:
+                v, residual = self._residual(shift, shared[shift])
+                if residual <= 1e-10:
+                    try:
+                        rho = self._state(v)
+                    except ValueError:   # the direct solve classifies it, below
+                        pass
+                    else:
+                        self.residual = residual
+                        return rho
+            return self(shift)
+
+        return state
 
     def _classify_failure(self, shift: float, residual: float):
         import scipy.sparse
@@ -362,6 +482,15 @@ class SteadyStateSolver:
                 f"Liouvillian kernel is {null_dim}-dimensional; steady state not unique "
                 "(bound states conserve population; use time evolution instead)")
         raise AccuracyError(f"steady-state residual {residual:.3e} exceeds 1e-10")
+
+
+def _shifted_fom(hess: np.ndarray, sigma: np.ndarray, beta: float) -> np.ndarray:
+    """Row k solves (I + sigma_k H) y = beta e_1: batched LU solves of at most 2^18
+    matrix entries each."""
+    m = len(hess)
+    parts = np.array_split(sigma, -(-len(sigma) * m * m // 2**18))
+    return np.concatenate([np.linalg.solve(np.eye(m) + part[:, None, None] * hess,
+                                           beta * (np.arange(m) == 0)) for part in parts])
 
 
 def steady_state(lv: Liouvillian) -> DensityMatrix:

@@ -90,12 +90,23 @@ def test_sweep_matches_pointwise_and_is_symmetric():
          phi=-0.5484285336828729, amp_frac=0.0625, dets=[-1.8706346360583135, 8.0])
 def test_sweep_rows_equal_g2_zero_on_random_parameters(g, kappa, gamma, r_abs, phi,
                                                        amp_frac, dets):
-    # both shift one build in the cavity frame by the detuning: the same solve
+    # both shift one build in the cavity frame by the detuning; a sweep may take its
+    # rows from a shared Krylov basis, so they agree to rounding
     p = ModelParams(g=g, kappa=kappa, gamma=gamma, r_abs=r_abs, phi_prop=phi)
     amp = amp_frac * kappa
     sweep = g2_sweep(p, drive(amplitude=amp), np.array(dets), LAYOUT)
-    direct = [g2_zero(p, drive(detuning=d, amplitude=amp), LAYOUT) for d in dets]
-    assert sweep.results == direct
+    _assert_rows_match(sweep, [g2_zero(p, drive(detuning=d, amplitude=amp), LAYOUT)
+                               for d in dets])
+
+
+def _assert_rows_match(sweep, direct):
+    """Each sweep row against g2_zero's: residual, n_L to 1e-10 relative and
+    <c+c+cc> = g2 n_L^2 to 1e-15 absolute (g2 itself divides by a small n_L^2)."""
+    assert not sweep.errors
+    for row, ref in zip(sweep.results, direct, strict=True):
+        assert row.detuning == ref.detuning and row.residual <= 1e-10
+        assert abs(row.n_L - ref.n_L) <= 1e-10 * ref.n_L
+        assert abs(row.g2 * row.n_L**2 - ref.g2 * ref.n_L**2) <= 1e-15
 
 
 def test_sweep_collects_per_point_errors_and_continues():
@@ -167,8 +178,7 @@ def test_sweep_equals_g2_zero_on_two_qubit_capped_layout():
     p = ModelParams(g=4.0, kappa=20.0, gamma=1.0, phi_prop=0.3, phi_azim=(0.0, 1.1))
     dets = np.array([-3.0, 0.5, 2.0])
     sweep = g2_sweep(p, drive(amplitude=1.0), dets, lay)
-    direct = [g2_zero(p, drive(detuning=d, amplitude=1.0), lay) for d in dets]
-    assert sweep.results == direct
+    _assert_rows_match(sweep, [g2_zero(p, drive(detuning=d, amplitude=1.0), lay) for d in dets])
 
 
 def test_result_fields():
@@ -236,3 +246,124 @@ def test_cap_at_cutoff_stays_within_the_box_truncation_error(two, g, kappa, gamm
         SpaceLayout(n, c, c), SpaceLayout(n, c), SpaceLayout(n, c + 1)))
     floor = np.array([1e-8, 1e-10]) * np.abs(box)
     assert np.all(np.abs(cap - box_next) <= 10.0 * np.abs(box - box_next) + floor)
+
+
+# ---------------------------------------------------------------------------
+# sweeps from one banded LU and a shared Krylov basis
+# ---------------------------------------------------------------------------
+
+@given(lay=st.sampled_from([SpaceLayout(1, 4), SpaceLayout(1, 5), SpaceLayout(2, 4, 3)]),
+       g=st.floats(1.0, 10.0), kappa=st.floats(5.0, 30.0), gamma=st.floats(0.1, 5.0),
+       r_abs=st.floats(0.0, 1.0), phi=st.floats(-np.pi, np.pi), phi2=st.floats(-np.pi, np.pi),
+       amp_frac=st.floats(0.01, 0.1),
+       dets=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=40, unique=True))
+@settings(max_examples=15, deadline=None)
+def test_multi_shift_rows_match_per_point_direct_solves(lay, g, kappa, gamma, r_abs, phi,
+                                                         phi2, amp_frac, dets):
+    # every state of a sweep against the banded LU of its own detuning, and the
+    # sweep's rows against g2_zero; a shared-basis row differs from a direct solve
+    # by rounding, so g2 = <c+c+cc>/n_L^2 is bounded through <c+c+cc> and n_L
+    p = ModelParams(g=g, kappa=kappa, gamma=gamma, r_abs=r_abs, phi_prop=phi,
+                    phi_azim=(0.0, phi2)[:lay.n_qubits])
+    d = drive(amplitude=amp_frac * kappa)
+    solved = solve_layout(lay)
+    solver = master.SteadyStateSolver(master.build_liouvillian(p, solved, drive=d, frame=0.0))
+    c_l, _ = cavity_ops(solved)
+    n_op = c_l.conj().T @ c_l
+    pair_op = c_l.conj().T @ n_op @ c_l
+    state = solver.sweep(dets)
+    for det in dets:
+        rho = state(det)
+        assert solver.residual <= 1e-10
+        ref = solver(det)
+        assert np.abs(rho.entries - ref.entries).max() <= 1e-12
+        n_l, n_ref = rho.expect(n_op).real, ref.expect(n_op).real
+        assert abs(n_l - n_ref) <= 1e-10 * n_ref
+        assert abs(rho.expect(pair_op).real - ref.expect(pair_op).real) <= 1e-15
+    _assert_rows_match(g2_sweep(p, d, np.array(dets), lay), [
+        g2_zero(p, drive(detuning=det, amplitude=amp_frac * kappa), lay) for det in dets])
+
+
+def _count_calls(monkeypatch, module, names, change=None):
+    """Count the calls of module.<name> for each name; change(name, result) may alter
+    what a call returns."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            result = _original(*args, **kwargs)
+            return result if change is None else change(_name, result)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _outcomes(sweep):
+    """Each row of a sweep, or the [detuning, "TypeName: message"] of its failure."""
+    failed = {entry[0]: entry for entry in sweep.errors}
+    return [failed.get(r.detuning, r) for r in sweep.results]
+
+
+def _g2_zero_outcome(p, d, lay, det):
+    try:
+        return g2_zero(p, DriveSpec(omega_drive=det, amplitude=d.amplitude), lay)
+    except Exception as exc:
+        return [det, f"{type(exc).__name__}: {exc}"]
+
+
+def test_fig8c_sweep_factors_once(monkeypatch):
+    import scipy.linalg.lapack as lapack
+    calls = _count_calls(monkeypatch, lapack, ["zgbtrf", "zgbsv"])
+    sweep = g2_sweep(EP, drive(), np.linspace(-12.0, 12.0, 97), LAYOUT)
+    assert calls == {"zgbtrf": 1, "zgbsv": 0}
+    assert not sweep.errors and sweep.base_detuning == 0.0 and 0 < sweep.krylov_dim <= 100
+    assert max(r.residual for r in sweep.results) <= 1e-10
+
+
+def test_point_missing_the_bound_on_the_shared_basis_is_solved_directly(monkeypatch):
+    # the shared basis's vector of one point (or of every point) is spoilt: those points
+    # are solved by their own LU, with g2_zero's result, or g2_zero's failure where the
+    # undriven EP at gamma = 0 leaves the left mode empty
+    import scipy.linalg.blas as blas
+    import scipy.linalg.lapack as lapack
+    dets = np.linspace(-4.5, 3.5, 9)
+    for p, d, spoilt in ((EP, drive(), [3]), (EP.replace(gamma=0.0), drive(amplitude=0.0),
+                                              list(range(9)))):
+        def spoil(name, vectors):
+            vectors[:, spoilt] += 1e-6
+            return vectors
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, lapack, ["zgbtrf", "zgbsv"])
+            _count_calls(patch, blas, ["zgemm"], spoil)
+            sweep = g2_sweep(p, d, dets, LAYOUT)
+        assert calls == {"zgbtrf": 1, "zgbsv": len(spoilt)}
+        outcomes = _outcomes(sweep)
+        for i in spoilt:
+            assert outcomes[i] == _g2_zero_outcome(p, d, LAYOUT, dets[i])
+
+
+def test_singular_base_factor_solves_every_point_directly(monkeypatch):
+    # a factor zgbtrf reports singular, and one that is: g = gamma = 0 leaves the
+    # emitter's levels conserved, so every point's kernel is degenerate
+    import scipy.linalg.lapack as lapack
+    dets = np.linspace(-3.5, 3.5, 8)
+    for p, d, singular in ((EP, drive(), lambda name, r: (*r[:2], 1) if name == "zgbtrf" else r),
+                           (EP.replace(g=0.0, gamma=0.0), drive(amplitude=0.0), None)):
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, lapack, ["zgbtrf", "zgbsv"], singular)
+            sweep = g2_sweep(p, d, dets, LAYOUT)
+        assert calls == {"zgbtrf": 1, "zgbsv": len(dets)}
+        assert sweep.krylov_dim == 0 and np.isnan(sweep.base_detuning)
+        assert _outcomes(sweep) == [_g2_zero_outcome(p, d, LAYOUT, det) for det in dets]
+    assert all(e[1].startswith("DegenerateSteadyStateError: ") for e in sweep.errors)
+
+
+def test_short_sweep_is_solved_point_by_point(monkeypatch):
+    # a shared basis costs one factor plus some 30-100 back-substitutions, more than
+    # two or three factors: such sweeps are per-point solves, and g2_zero's rows
+    import scipy.linalg.lapack as lapack
+    for dets in ([-3.0, 2.0], [-12.0, 0.0, 12.0]):
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, lapack, ["zgbtrf", "zgbsv"])
+            sweep = g2_sweep(EP, drive(), np.array(dets), LAYOUT)
+        assert calls == {"zgbtrf": 0, "zgbsv": len(dets)} and sweep.krylov_dim == 0
+        assert sweep.results == [g2_zero(EP, drive(detuning=det), LAYOUT) for det in dets]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from epqed import dynamics, spectra
+from epqed import dynamics, ldos, spectra
 from epqed.cli import DEFAULTS, build_parser, main, params_from_config, parse_sweep
 from epqed.errors import ConfigError
 from epqed.ldos import lorentzian_model
@@ -106,11 +106,21 @@ def test_blockade_sidecar_records_solved_basis_and_reruns(tmp_path):
 
 
 def test_blockade_sidecar_records_steady_state_residual(tmp_path):
-    for out, extra in (("one", []), ("det", ["--sweep", "detuning=-2:2:3"]),
-                       ("cut", ["--sweep", "fock_cutoff=4:5:2"])):
+    # and, for a detuning sweep, the size of its shared Krylov basis (0 for a sweep
+    # short enough to solve point by point) and the detuning of its one LU
+    for out, extra, krylov_dim, base in (
+            ("one", [], None, None), ("det", ["--sweep", "detuning=-2:2:3"], 0, None),
+            ("long", ["--sweep", "detuning=-2:2:9"], 10, 0.0),
+            ("cut", ["--sweep", "fock_cutoff=4:5:2"], None, None)):
         assert main(["blockade", "--g", "5", *extra, "--out", str(tmp_path / out)]) == 0
         sidecar = json.loads((tmp_path / out / "blockade.json").read_text())
         assert 0.0 <= sidecar["diagnostics"]["max_steady_state_residual"] <= 1e-10
+        assert sidecar["diagnostics"]["base_detuning"] == base
+        if krylov_dim:
+            assert krylov_dim <= sidecar["diagnostics"]["krylov_dim"] <= 100
+        else:
+            assert sidecar["diagnostics"]["krylov_dim"] == krylov_dim
+        assert not {"krylov_dim", "base_detuning"} & set(sidecar["summary"])
         assert "steady_state_residual" not in sidecar["summary"]
         header, _ = read_csv(tmp_path / out / "blockade.csv")
         assert not any(h.startswith("steady_state_residual") for h in header)
@@ -166,9 +176,11 @@ def test_blockade_run_matches_its_sweep_row_at_nonzero_omega_c(tmp_path):
                  "--out", str(one)]) == 0
     assert main(["blockade", "--set", "omega_c=0.1", "--sweep", "detuning=0:0.4:3",
                  "--out", str(sweep)]) == 0
-    row = (one / "blockade.csv").read_text().splitlines()[2:]
-    assert row == (sweep / "blockade.csv").read_text().splitlines()[3:4]
-    assert float(row[0].split(",")[0]) == 0.2
+    # the sweep may take its rows from a shared Krylov basis: equal to rounding
+    (_, g2, n_l), (det, g2_row, n_l_row) = read_csv(one / "blockade.csv")[1][0], \
+        read_csv(sweep / "blockade.csv")[1][1]
+    assert det == 0.2 and abs(n_l - n_l_row) <= 1e-10 * n_l_row
+    assert abs(g2 * n_l**2 - g2_row * n_l_row**2) <= 1e-15
 
 
 def test_generic_sweep_rows(tmp_path):
@@ -308,6 +320,20 @@ def test_nonfinite_values_are_config_errors(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+def test_ldos_rejects_a_span_that_is_not_positive_before_computing(tmp_path, capsys,
+                                                                   monkeypatch):
+    def never(*args):
+        raise AssertionError("chi computed on a rejected grid")
+    monkeypatch.setattr(ldos, "chi_dp", never)
+    monkeypatch.setattr(ldos, "chi_ep", never)
+    for value in ("NaN", "-1"):
+        out = tmp_path / value
+        assert main(["ldos", "--set", f"omega_span={value}", "--out", str(out)]) == 2
+        assert "config error: the frequency grid must be strictly ascending: omega_span " \
+               "must be positive and finite" in capsys.readouterr().err
+        assert not (out / "ldos.csv").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("gamma", np.nan), ("kappa", np.inf), ("g", np.nan), ("omega0", np.nan),
     ("omega0", (0.0, np.inf)), ("omega_c", -np.inf), ("phi_prop", np.nan),
@@ -388,7 +414,8 @@ def test_sweep_with_every_point_failed_exits_3(tmp_path):
     assert [e[0] for e in errors] == [-2.0, 0.0, 2.0]
     assert all(e[1].startswith("StatisticsUndefinedError: ") for e in errors)
     diagnostics = json.loads((tmp_path / "blockade.json").read_text())["diagnostics"]
-    assert diagnostics == {"max_steady_state_residual": None}
+    assert diagnostics == {"max_steady_state_residual": None, "krylov_dim": 0,
+                           "base_detuning": None}
 
 
 def test_spectrum_grid_is_the_recorded_one(tmp_path):
