@@ -38,7 +38,11 @@ KRYLOV_TOL = 1e-13        # a sweep's shift is kept once its FOM residual estima
 KRYLOV_MAX_DIM = 400      # the basis stops at this size at most,
 KRYLOV_DIM_PER_SHIFT = 5  # or at this many vectors per shift: a step costs about a
                           # twentieth of a banded solve, so open shifts fall back cheaply
-KRYLOV_MIN_SHIFTS = 8     # sweeps of fewer distinct shifts solve each point by its own LU
+KRYLOV_MIN_SHIFTS = 4     # sweeps of fewer distinct shifts solve each point by its own LU:
+                          # on 2 x86_64 cores, over grids 0.4-24 wide at N^2 = 529 and
+                          # 1156, the basis takes a median 1.33 times the per-point time
+                          # at 3 shifts and 0.88 at 4 (up to 1.45 on wide grids, where
+                          # the per-shift cap stops it before the shifts converge)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +401,9 @@ class SteadyStateSolver:
         from scipy.linalg.blas import dznrm2, zgemm, zgemv
         from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-        grid = np.unique(np.asarray(shifts, dtype=float))
-        grid = grid[np.isfinite(grid)]
+        grid, first = np.unique(np.asarray(shifts, dtype=float), return_index=True)
+        finite = np.isfinite(grid)   # first: where each shift first occurs in shifts
+        grid, first = grid[finite], first[finite]
         self.krylov_dim, self.base_shift = 0, np.nan
         if len(grid) < KRYLOV_MIN_SHIFTS:   # cheaper solved one by one
             return self
@@ -419,7 +424,7 @@ class SteadyStateSolver:
         basis, hess = np.empty((16, len(b0)), dtype=complex), np.zeros((17, 16), dtype=complex)
         basis[0] = b0 / beta
         top = min(KRYLOV_MAX_DIM, KRYLOV_DIM_PER_SHIFT * len(grid), len(b0))
-        coef = np.zeros((len(grid), top), dtype=complex)   # each kept shift's FOM iterate
+        iterates = {}   # grid index -> the FOM iterate of a kept shift
         open_, m, check = np.ones(len(grid), dtype=bool), 0, 10
         while True:
             w = zgbtrs(lu, self.kl, self.ku, (self.shift_diag * scale * basis[m])[:, None],
@@ -440,7 +445,7 @@ class SteadyStateSolver:
                 y = _shifted_fom(hess[:m, :m], sigma[open_], beta)
                 now = np.flatnonzero(open_)
                 ok = exact | (np.abs(sigma[now] * h_next * y[:, -1]) <= KRYLOV_TOL * beta)
-                coef[now[ok], :m] = y[ok]
+                iterates.update(zip(now[ok], y[ok]))
                 open_[now[ok]] = False
                 if exact or m == top or not open_.any():
                     break
@@ -448,14 +453,27 @@ class SteadyStateSolver:
                 basis = np.concatenate([basis, np.empty_like(basis)])
                 hess = np.pad(hess, ((0, m), (0, m)))
             basis[m] = w / h_next
-        kept = ~open_   # the others are solved by their own LU
-        vecs = scale[:, None] * zgemm(1.0, basis[:m].T, np.asfortranarray(coef[kept, :m].T))
+        # the kept shifts' iterates (the others are solved by their own LU), a column each
+        # in the order callers first ask for them; their vectors are formed m columns at a
+        # time when first asked for, so they never hold more memory than the basis
+        kept = sorted(iterates, key=first.__getitem__)
+        coef = np.zeros((m, len(kept)), dtype=complex, order="F")
+        for j, i in enumerate(kept):
+            coef[:len(iterates[i]), j] = iterates[i]
+        slot = dict(zip(grid[kept], range(len(kept))))
+        basis, block = basis[:m].T, {}
         self.krylov_dim, self.base_shift = m, float(base)
-        shared = dict(zip(grid[kept], vecs.T))
 
         def state(shift: float) -> DensityMatrix:
-            if shift in shared:
-                v, residual = self._residual(shift, shared[shift])
+            j = slot.get(shift)
+            if j is not None:
+                lo = j - j % m
+                if block.get("lo") != lo:
+                    block.clear()
+                    block["vecs"] = zgemm(1.0, basis, coef[:, lo:lo + m])
+                    block["vecs"] *= scale[:, None]
+                    block["lo"] = lo
+                v, residual = self._residual(shift, block["vecs"][:, j - lo])
                 if residual <= 1e-10:
                     try:
                         rho = self._state(v)

@@ -90,13 +90,12 @@ def test_sweep_matches_pointwise_and_is_symmetric():
          phi=-0.5484285336828729, amp_frac=0.0625, dets=[-1.8706346360583135, 8.0])
 def test_sweep_rows_equal_g2_zero_on_random_parameters(g, kappa, gamma, r_abs, phi,
                                                        amp_frac, dets):
-    # both shift one build in the cavity frame by the detuning; a sweep may take its
-    # rows from a shared Krylov basis, so they agree to rounding
+    # both shift one build in the cavity frame by the detuning: the same solve
     p = ModelParams(g=g, kappa=kappa, gamma=gamma, r_abs=r_abs, phi_prop=phi)
     amp = amp_frac * kappa
     sweep = g2_sweep(p, drive(amplitude=amp), np.array(dets), LAYOUT)
-    _assert_rows_match(sweep, [g2_zero(p, drive(detuning=d, amplitude=amp), LAYOUT)
-                               for d in dets])
+    direct = [g2_zero(p, drive(detuning=d, amplitude=amp), LAYOUT) for d in dets]
+    assert sweep.results == direct
 
 
 def _assert_rows_match(sweep, direct):
@@ -178,7 +177,8 @@ def test_sweep_equals_g2_zero_on_two_qubit_capped_layout():
     p = ModelParams(g=4.0, kappa=20.0, gamma=1.0, phi_prop=0.3, phi_azim=(0.0, 1.1))
     dets = np.array([-3.0, 0.5, 2.0])
     sweep = g2_sweep(p, drive(amplitude=1.0), dets, lay)
-    _assert_rows_match(sweep, [g2_zero(p, drive(detuning=d, amplitude=1.0), lay) for d in dets])
+    direct = [g2_zero(p, drive(detuning=d, amplitude=1.0), lay) for d in dets]
+    assert sweep.results == direct
 
 
 def test_result_fields():
@@ -328,8 +328,12 @@ def test_point_missing_the_bound_on_the_shared_basis_is_solved_directly(monkeypa
     dets = np.linspace(-4.5, 3.5, 9)
     for p, d, spoilt in ((EP, drive(), [3]), (EP.replace(gamma=0.0), drive(amplitude=0.0),
                                               list(range(9)))):
-        def spoil(name, vectors):
-            vectors[:, spoilt] += 1e-6
+        formed = [0]   # vectors are formed a block of columns at a time, in grid order
+
+        def spoil(name, vectors, formed=formed, spoilt=spoilt):
+            cols = formed[0] + np.arange(vectors.shape[1])
+            formed[0] += vectors.shape[1]
+            vectors[:, np.isin(cols, spoilt)] += 1e-6
             return vectors
         with monkeypatch.context() as patch:
             calls = _count_calls(patch, lapack, ["zgbtrf", "zgbsv"])
@@ -339,6 +343,23 @@ def test_point_missing_the_bound_on_the_shared_basis_is_solved_directly(monkeypa
         outcomes = _outcomes(sweep)
         for i in spoilt:
             assert outcomes[i] == _g2_zero_outcome(p, d, LAYOUT, dets[i])
+
+
+def test_shared_vectors_are_formed_in_call_order_blocks_no_wider_than_the_basis(monkeypatch):
+    # a sweep holds one block of at most krylov_dim vectors at a time, not one vector
+    # per point, and a grid walked in any order forms each block once
+    import scipy.linalg.blas as blas
+    widths = []
+
+    def record(name, vectors):
+        widths.append(vectors.shape[1])
+        return vectors
+    dets = np.random.default_rng(7).permutation(np.linspace(-12.0, 12.0, 97))
+    _count_calls(monkeypatch, blas, ["zgemm"], record)
+    sweep = g2_sweep(EP, drive(), dets, LAYOUT)
+    assert not sweep.errors and sum(widths) == len(dets)
+    assert max(widths) == sweep.krylov_dim < len(dets)
+    assert [r.detuning for r in sweep.results] == list(dets)
 
 
 def test_singular_base_factor_solves_every_point_directly(monkeypatch):

@@ -176,11 +176,9 @@ def test_blockade_run_matches_its_sweep_row_at_nonzero_omega_c(tmp_path):
                  "--out", str(one)]) == 0
     assert main(["blockade", "--set", "omega_c=0.1", "--sweep", "detuning=0:0.4:3",
                  "--out", str(sweep)]) == 0
-    # the sweep may take its rows from a shared Krylov basis: equal to rounding
-    (_, g2, n_l), (det, g2_row, n_l_row) = read_csv(one / "blockade.csv")[1][0], \
-        read_csv(sweep / "blockade.csv")[1][1]
-    assert det == 0.2 and abs(n_l - n_l_row) <= 1e-10 * n_l_row
-    assert abs(g2 * n_l**2 - g2_row * n_l_row**2) <= 1e-15
+    row = (one / "blockade.csv").read_text().splitlines()[2:]
+    assert row == (sweep / "blockade.csv").read_text().splitlines()[3:4]
+    assert float(row[0].split(",")[0]) == 0.2
 
 
 def test_generic_sweep_rows(tmp_path):
