@@ -307,6 +307,9 @@ class SteadyStateSolver:
     per shift.  A shift left open, a point whose basis vector misses the
     residual bound, every point when A(s0) is singular, and every point of
     a sweep of fewer than KRYLOV_MIN_SHIFTS shifts is solved by solve(s).
+    The kept shifts' vectors are formed from the basis m at a time (m its
+    size), when first asked for, so a sweep never holds more of them than
+    it holds basis vectors.
 
     Every point's residual |(L + s D) v| is computed; `residual` is the
     last one.  Only when the factor is singular, or leaves a residual above
