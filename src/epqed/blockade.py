@@ -7,7 +7,8 @@ driven generator, built once in the cavity frame and shifted to the drive
 frequency, a CSR matrix whose reverse-Cuthill-McKee-ordered,
 trace-completed form is solved in the basis `solve_layout` picks: by one
 banded LU for a single point, and for a detuning sweep by one banded LU
-for all its points, through a Krylov basis shared by every shift.
+for all its points, through a Krylov basis shared by every shift.  Each
+solve returns its state with its residual, which every result carries.
 """
 from __future__ import annotations
 
@@ -66,9 +67,11 @@ def solve_layout(layout: SpaceLayout) -> SpaceLayout:
     return replace(layout, max_excitations=layout.fock_cutoff)
 
 
-def _measure_ops(layout: SpaceLayout, measure: str):
+def _measure_ops(layout: SpaceLayout, measure: str) -> tuple[np.ndarray, np.ndarray]:
+    """n = c+c and c+c+cc of the measured mode c."""
     c_l, c_r = cavity_ops(layout)
-    return c_l if measure == "cavity_L" else c_r
+    c_m = c_l if measure == "cavity_L" else c_r
+    return c_m.conj().T @ c_m, c_m.conj().T @ c_m.conj().T @ c_m @ c_m
 
 
 def _check_preconditions(params: ModelParams, drive: DriveSpec, layout: SpaceLayout):
@@ -83,21 +86,20 @@ def _check_preconditions(params: ModelParams, drive: DriveSpec, layout: SpaceLay
             "assumptions and the Fock truncation may fail", stacklevel=4)
 
 
-def _statistics(rho: master.DensityMatrix, c_m: np.ndarray, detuning: float,
-                residual: float) -> BlockadeResult:
-    n_op = c_m.conj().T @ c_m
+def _statistics(rho: master.DensityMatrix, residual: float, n_op: np.ndarray,
+                pair_op: np.ndarray, detuning: float) -> BlockadeResult:
     n_val = rho.expect(n_op).real
     if n_val < 1e-12:
         raise StatisticsUndefinedError(
             f"measured-mode population {n_val:.3e} too small for g2")
-    g2_num = rho.expect(c_m.conj().T @ c_m.conj().T @ c_m @ c_m).real
+    g2_num = rho.expect(pair_op).real
     return BlockadeResult(detuning=float(detuning), g2=float(g2_num / n_val**2),
                           n_L=float(n_val), residual=residual)
 
 
 def _solver(params: ModelParams, drive: DriveSpec, layout: SpaceLayout, measure: str):
     """One build of L in the cavity frame, its SteadyStateSolver (each detuning
-    det = omega_d - omega_c a shift of its diagonal) and the measured mode."""
+    det = omega_d - omega_c a shift of its diagonal) and the measured mode's operators."""
     _check_preconditions(params, drive, layout)
     layout = solve_layout(layout)
     solve = master.SteadyStateSolver(
@@ -108,9 +110,9 @@ def _solver(params: ModelParams, drive: DriveSpec, layout: SpaceLayout, measure:
 def g2_zero(params: ModelParams, drive: DriveSpec, layout: SpaceLayout,
             measure: str = "cavity_L") -> BlockadeResult:
     """Steady-state g2(0) = <c+c+cc>/<c+c>^2 of the measured mode, from one banded LU."""
-    solve, c_m = _solver(params, drive, layout, measure)
+    solve, ops = _solver(params, drive, layout, measure)
     det = drive.omega_drive - params.omega_c
-    return _statistics(solve(det), c_m, det, solve.residual)
+    return _statistics(*solve(det), *ops, det)
 
 
 def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
@@ -123,17 +125,24 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
     L once in the cavity frame, orders the steady-state system once, and
     solves every detuning from one banded LU at a base detuning near the
     grid's middle by SteadyStateSolver.sweep's shared Krylov basis.  Each
-    point keeps its own residual check; one that misses it is solved by
-    its own banded LU, as g2_zero solves it.  A point that fails by
-    errors.each_point's policy is recorded in `errors` with NaN results and
-    the sweep continues.  `krylov_dim` and `base_detuning` record the
-    basis size and the base detuning (0 and NaN when no basis was built).
+    point's state comes with its own residual; one that misses the bound
+    is solved by its own banded LU, as g2_zero solves it.  A non-finite
+    detuning fails unsolved, with the ValueError g2_zero's drive raises.  A
+    point that fails by errors.each_point's policy is recorded in `errors`
+    with NaN results and the sweep continues.  `krylov_dim` and
+    `base_detuning` are the basis size and base detuning the sweep returns
+    (0 and NaN when no basis was built).
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
-    solve, c_m = _solver(params, drive, layout, measure)
-    state = solve.sweep(detuning_grid)
-    rows, errors = each_point(
-        detuning_grid, lambda det: _statistics(state(det), c_m, det, solve.residual))
+    solve, ops = _solver(params, drive, layout, measure)
+    state, krylov_dim, base_detuning = solve.sweep(detuning_grid)
+
+    def point(det: float) -> BlockadeResult:
+        if not np.isfinite(det):   # as DriveSpec rejects omega_drive = omega_c + det
+            raise ValueError(f"omega_drive must be finite, got {det}")
+        return _statistics(*state(det), *ops, det)
+
+    rows, errors = each_point(detuning_grid, point)
     results = [BlockadeResult(detuning=float(det), g2=np.nan, n_L=np.nan) if r is None else r
                for det, r in zip(detuning_grid, rows)]
 
@@ -143,7 +152,7 @@ def g2_sweep(params: ModelParams, drive: DriveSpec, detuning_grid,
     max_det, max_nl = _interp_extremum(detuning_grid, nl_vals, kind="max")
     return BlockadeSweep(results=results, min_g2=min_g2, min_g2_detuning=min_det,
                          max_n_L=max_nl, max_n_L_detuning=max_det, errors=errors,
-                         krylov_dim=solve.krylov_dim, base_detuning=solve.base_shift)
+                         krylov_dim=krylov_dim, base_detuning=base_detuning)
 
 
 def _interp_extremum(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, float]:

@@ -150,6 +150,8 @@ def parse_sweep(text: str) -> tuple[str, float, float, int]:
         raise ConfigError(f"sweep axis {name!r} is not a numeric parameter")
     if count < 2:
         raise ConfigError(f"sweep count must be >= 2, got {count}")
+    if not np.isfinite([start, stop]).all():
+        raise ConfigError(f"sweep bounds must be finite, got {text!r}")
     if name in _INT_KEYS and np.any(np.mod(np.linspace(start, stop, count), 1.0) != 0.0):
         raise ConfigError(f"sweep axis {name!r} takes integers, but {text!r} "
                           "has non-integral points")

@@ -281,7 +281,7 @@ def evolve(lv: Liouvillian, rho0, t_grid, step: float | None = None) -> Evolutio
 class SteadyStateSolver:
     """Steady states of L + s D for one Liouvillian L and frame shifts s.
 
-    D is the diagonal detuning_derivative(lv.layout), so solve(s) is the
+    D is the diagonal detuning_derivative(lv.layout), so a solve at s is the
     steady state of the generator built in a frame s above L's: for L built
     in the cavity frame, of a drive detuned by s from omega_c.  The system
     A(s) vec(rho) = e, A(s) = L' + s D', is L + s D with its first row (the
@@ -292,34 +292,32 @@ class SteadyStateSolver:
     takes 16 N^2 (2 kl + ku + 1) bytes (checked against physical memory up
     front, MemoryLimitError).
 
-    solve(s) scatters the values of L into band storage, adds the shifted
-    diagonal and factors one banded LU (LAPACK zgbsv).  sweep(shifts)
-    serves every shift of a sweep from one banded LU, of A(s0) at a grid
-    point s0 near the middle, by the shifted full orthogonalization method
+    Every factor is one banded LU of A(s) (LAPACK zgbtrf), every solve its
+    back-substitution (zgbtrs).  self(s) returns (steady state, residual
+    |(L + s D) vec(rho)|) from the factor of A(s).  sweep(shifts) serves
+    every shift of a sweep from one factor, of A(s0) at a grid point s0
+    near the middle, by the shifted full orthogonalization method
     (Simoncini, BIT 43, 459 (2003); Frommer and Glaessner, SIAM J. Sci.
     Comput. 19, 15 (1998)): A(s0)^-1 A(s) = I + (s - s0) T with
     T = A(s0)^-1 D', so one Arnoldi basis of T started from A(s0)^-1 e
-    serves every shift, each step one band back-substitution (zgbtrs) and
-    two passes of classical Gram-Schmidt.  The unknowns are scaled by
-    excitation order, so the small entries of high orders keep their
-    relative precision.  A shift is kept once its FOM residual estimate
-    is below KRYLOV_TOL; the basis stops at KRYLOV_DIM_PER_SHIFT vectors
-    per shift.  A shift left open, a point whose basis vector misses the
-    residual bound, every point when A(s0) is singular, and every point of
-    a sweep of fewer than KRYLOV_MIN_SHIFTS shifts is solved by solve(s).
-    The kept shifts' vectors are formed from the basis m at a time (m its
-    size), when first asked for, so a sweep never holds more of them than
-    it holds basis vectors.
+    serves every shift, each step one back-substitution and two passes of
+    classical Gram-Schmidt.  The unknowns are scaled by excitation order,
+    so the small entries of high orders keep their relative precision.  A
+    shift is kept once its FOM residual estimate is below KRYLOV_TOL; the
+    basis stops at KRYLOV_DIM_PER_SHIFT vectors per shift.  A kept shift's
+    vector is formed from the basis each time it is asked for, so a sweep
+    holds one vector at a time.  A shift left open, a point whose vector
+    misses the residual bound, every point when A(s0) is singular, and
+    every point of a sweep of fewer than KRYLOV_MIN_SHIFTS shifts is
+    solved by self(s).
 
-    Every point's residual |(L + s D) v| is computed; `residual` is the
-    last one.  Only when the factor is singular, or leaves a residual above
-    1e-10, is the dense spectrum computed (guarded by MemoryLimitError) to
-    classify the failure: DegenerateSteadyStateError when the kernel is
-    more than one-dimensional within KERNEL_TOL (relative singular-value
-    threshold), e.g. for gamma = 0 undriven configurations supporting bound
-    states, else AccuracyError.  After a sweep, `krylov_dim` and
-    `base_shift` are its basis size and s0 (0 and NaN when no basis was
-    built).
+    A solution is accepted when its residual is at most 1e-10.  Only when
+    the factor is singular, or the residual above it, does self(s) compute
+    the dense spectrum (guarded by MemoryLimitError) to classify the
+    failure: DegenerateSteadyStateError when the kernel is more than
+    one-dimensional within KERNEL_TOL (relative singular-value threshold),
+    e.g. for gamma = 0 undriven configurations supporting bound states,
+    else AccuracyError.
     """
 
     def __init__(self, lv: Liouvillian):
@@ -331,8 +329,6 @@ class SteadyStateSolver:
         n2 = self.lmat.shape[0]
         self.dim = lv.layout.dim
         self.diagonal = detuning_derivative(lv.layout)
-        self.residual = np.nan
-        self.krylov_dim, self.base_shift = 0, np.nan
         # pattern of the trace-completed system: the trace row, then rows 1.. of L
         rows = np.concatenate([np.zeros(self.dim, dtype=np.intp),
                                np.repeat(np.arange(1, n2), np.diff(self.lmat.indptr[1:]))])
@@ -358,7 +354,7 @@ class SteadyStateSolver:
         self.order = np.add.outer(lv.layout.excitations, lv.layout.excitations).ravel()[self.perm]
 
     def _band(self, shift: float) -> np.ndarray:
-        """A(shift) in band storage, as the C-ordered transpose zgbsv and zgbtrf take."""
+        """A(shift) in band storage, as the C-ordered transpose zgbtrf takes."""
         ab = np.zeros((self.lmat.shape[0], 2 * self.kl + self.ku + 1), dtype=complex)
         flat = ab.reshape(-1)
         flat[self.trace_pos] = 1.0
@@ -366,55 +362,59 @@ class SteadyStateSolver:
         ab[:, self.kl + self.ku] += shift * self.shift_diag
         return ab
 
-    def _trace_rhs(self) -> np.ndarray:
+    def _factor(self, shift: float):
+        """The banded LU (lu, piv, info) of A(shift); info > 0: it is exactly singular."""
+        from scipy.linalg.lapack import zgbtrf
+
+        return zgbtrf(self._band(shift).T, self.kl, self.ku, overwrite_ab=1)
+
+    def _trace_solution(self, lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
+        """A(s)^-1 e from the factor of A(s), in the solver's order."""
+        from scipy.linalg.lapack import zgbtrs
+
         rhs = np.zeros((self.lmat.shape[0], 1), dtype=complex)
         rhs[self.trace_row] = 1.0
-        return rhs
+        return zgbtrs(lu, self.kl, self.ku, rhs, piv, overwrite_b=1)[0][:, 0]
 
-    def _residual(self, shift: float, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """vec(rho) from the solution x in the solver's order, and |(L + s D) vec(rho)|
-        (inf unless x is finite)."""
+    def _accept(self, shift: float, x: np.ndarray | None) -> tuple[DensityMatrix | None, float]:
+        """(steady state, |(L + s D) vec(rho)|) of the solution x in the solver's order;
+        the state is None when the residual exceeds 1e-10, and the residual inf when x
+        is None (a singular factor) or not finite.  _clean's ValueError propagates."""
+        if x is None or not np.all(np.isfinite(x)):
+            return None, np.inf
         v = np.empty_like(x)
         v[self.perm] = x
-        if not np.all(np.isfinite(x)):
-            return v, np.inf
-        return v, float(np.linalg.norm(self.lmat @ v + shift * self.diagonal * v))
-
-    def _state(self, v: np.ndarray) -> DensityMatrix:
-        return DensityMatrix._checked(_clean(unvectorize(v, self.dim)[None])[0])
-
-    def __call__(self, shift: float = 0.0) -> DensityMatrix:
-        from scipy.linalg.lapack import zgbsv
-
-        _, _, x, info = zgbsv(self.kl, self.ku, self._band(shift).T, self._trace_rhs(),
-                              overwrite_ab=1, overwrite_b=1)
-        if info < 0:
-            raise RuntimeError(f"zgbsv rejected argument {-info}")
-        residual = np.inf
-        if info == 0:   # info > 0: the factor is exactly singular
-            v, residual = self._residual(shift, x[:, 0])
-        self.residual = residual
+        residual = float(np.linalg.norm(self.lmat @ v + shift * self.diagonal * v))
         if residual > 1e-10:
+            return None, residual
+        return DensityMatrix._checked(_clean(unvectorize(v, self.dim)[None])[0]), residual
+
+    def __call__(self, shift: float = 0.0) -> tuple[DensityMatrix, float]:
+        lu, piv, info = self._factor(shift)
+        if info < 0:
+            raise RuntimeError(f"zgbtrf rejected argument {-info}")
+        # info > 0: the factor is exactly singular
+        rho, residual = self._accept(shift, self._trace_solution(lu, piv) if info == 0 else None)
+        if rho is None:
             self._classify_failure(shift, residual)
-        return self._state(v)
+        return rho, residual
 
     def sweep(self, shifts):
-        """shift -> steady state, as self(shift), for the shifts of one sweep, whose
-        finite values share one banded LU and one Krylov basis."""
+        """(state, krylov_dim, base_shift) for the shifts of one sweep: state(shift)
+        returns what self(shift) does, its finite shifts served by one factor and one
+        Krylov basis of krylov_dim vectors at base_shift (0 and NaN when none was built)."""
         from scipy.linalg.blas import dznrm2, zgemm, zgemv
-        from scipy.linalg.lapack import zgbtrf, zgbtrs
+        from scipy.linalg.lapack import zgbtrs
 
-        grid, first = np.unique(np.asarray(shifts, dtype=float), return_index=True)
-        finite = np.isfinite(grid)   # first: where each shift first occurs in shifts
-        grid, first = grid[finite], first[finite]
-        self.krylov_dim, self.base_shift = 0, np.nan
+        grid = np.unique(np.asarray(shifts, dtype=float))
+        grid = grid[np.isfinite(grid)]
         if len(grid) < KRYLOV_MIN_SHIFTS:   # cheaper solved one by one
-            return self
+            return self, 0, np.nan
         base = grid[np.abs(grid - (grid[0] + grid[-1]) / 2).argmin()]
-        lu, piv, info = zgbtrf(self._band(base).T, self.kl, self.ku, overwrite_ab=1)
+        lu, piv, info = self._factor(base)
         if info != 0:   # info > 0: A(s0) is exactly singular
-            return self
-        b0 = zgbtrs(lu, self.kl, self.ku, self._trace_rhs(), piv)[0][:, 0]
+            return self, 0, np.nan
+        b0 = self._trace_solution(lu, piv)
         # each unknown is scaled by the largest |b0| of its excitation order, so that the
         # basis resolves the weak high orders (n_L, <c+c+cc>) to their own precision
         peak = np.zeros(self.order.max() + 1)
@@ -427,7 +427,7 @@ class SteadyStateSolver:
         basis, hess = np.empty((16, len(b0)), dtype=complex), np.zeros((17, 16), dtype=complex)
         basis[0] = b0 / beta
         top = min(KRYLOV_MAX_DIM, KRYLOV_DIM_PER_SHIFT * len(grid), len(b0))
-        iterates = {}   # grid index -> the FOM iterate of a kept shift
+        iterates = {}   # shift -> its FOM iterate, once kept
         open_, m, check = np.ones(len(grid), dtype=bool), 0, 10
         while True:
             w = zgbtrs(lu, self.kl, self.ku, (self.shift_diag * scale * basis[m])[:, None],
@@ -448,7 +448,7 @@ class SteadyStateSolver:
                 y = _shifted_fom(hess[:m, :m], sigma[open_], beta)
                 now = np.flatnonzero(open_)
                 ok = exact | (np.abs(sigma[now] * h_next * y[:, -1]) <= KRYLOV_TOL * beta)
-                iterates.update(zip(now[ok], y[ok]))
+                iterates.update(zip(grid[now[ok]], y[ok, :, None]))
                 open_[now[ok]] = False
                 if exact or m == top or not open_.any():
                     break
@@ -456,38 +456,20 @@ class SteadyStateSolver:
                 basis = np.concatenate([basis, np.empty_like(basis)])
                 hess = np.pad(hess, ((0, m), (0, m)))
             basis[m] = w / h_next
-        # the kept shifts' iterates (the others are solved by their own LU), a column each
-        # in the order callers first ask for them; their vectors are formed m columns at a
-        # time when first asked for, so they never hold more memory than the basis
-        kept = sorted(iterates, key=first.__getitem__)
-        coef = np.zeros((m, len(kept)), dtype=complex, order="F")
-        for j, i in enumerate(kept):
-            coef[:len(iterates[i]), j] = iterates[i]
-        slot = dict(zip(grid[kept], range(len(kept))))
-        basis, block = basis[:m].T, {}
-        self.krylov_dim, self.base_shift = m, float(base)
 
-        def state(shift: float) -> DensityMatrix:
-            j = slot.get(shift)
-            if j is not None:
-                lo = j - j % m
-                if block.get("lo") != lo:
-                    block.clear()
-                    block["vecs"] = zgemm(1.0, basis, coef[:, lo:lo + m])
-                    block["vecs"] *= scale[:, None]
-                    block["lo"] = lo
-                v, residual = self._residual(shift, block["vecs"][:, j - lo])
-                if residual <= 1e-10:
-                    try:
-                        rho = self._state(v)
-                    except ValueError:   # the direct solve classifies it, below
-                        pass
-                    else:
-                        self.residual = residual
-                        return rho
+        def state(shift: float) -> tuple[DensityMatrix, float]:
+            y = iterates.get(shift)
+            if y is not None:   # a kept shift: its vector, one product with the basis
+                try:
+                    rho, residual = self._accept(
+                        shift, zgemm(1.0, basis[:len(y)].T, y)[:, 0] * scale)
+                except ValueError:   # self(shift) classifies it, below
+                    rho = None
+                if rho is not None:
+                    return rho, residual
             return self(shift)
 
-        return state
+        return state, m, float(base)
 
     def _classify_failure(self, shift: float, residual: float):
         import scipy.sparse
@@ -516,7 +498,7 @@ def _shifted_fom(hess: np.ndarray, sigma: np.ndarray, beta: float) -> np.ndarray
 
 def steady_state(lv: Liouvillian) -> DensityMatrix:
     """Solve L vec(rho) = 0 with Tr(rho) = 1: the unshifted case of SteadyStateSolver."""
-    return SteadyStateSolver(lv)()
+    return SteadyStateSolver(lv)()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -271,11 +271,11 @@ def test_multi_shift_rows_match_per_point_direct_solves(lay, g, kappa, gamma, r_
     c_l, _ = cavity_ops(solved)
     n_op = c_l.conj().T @ c_l
     pair_op = c_l.conj().T @ n_op @ c_l
-    state = solver.sweep(dets)
+    state, _, _ = solver.sweep(dets)
     for det in dets:
-        rho = state(det)
-        assert solver.residual <= 1e-10
-        ref = solver(det)
+        rho, residual = state(det)
+        assert residual <= 1e-10
+        ref, _ = solver(det)
         assert np.abs(rho.entries - ref.entries).max() <= 1e-12
         n_l, n_ref = rho.expect(n_op).real, ref.expect(n_op).real
         assert abs(n_l - n_ref) <= 1e-10 * n_ref
@@ -312,9 +312,9 @@ def _g2_zero_outcome(p, d, lay, det):
 
 def test_fig8c_sweep_factors_once(monkeypatch):
     import scipy.linalg.lapack as lapack
-    calls = _count_calls(monkeypatch, lapack, ["zgbtrf", "zgbsv"])
+    calls = _count_calls(monkeypatch, lapack, ["zgbtrf"])
     sweep = g2_sweep(EP, drive(), np.linspace(-12.0, 12.0, 97), LAYOUT)
-    assert calls == {"zgbtrf": 1, "zgbsv": 0}
+    assert calls == {"zgbtrf": 1}
     assert not sweep.errors and sweep.base_detuning == 0.0 and 0 < sweep.krylov_dim <= 100
     assert max(r.residual for r in sweep.results) <= 1e-10
 
@@ -328,51 +328,55 @@ def test_point_missing_the_bound_on_the_shared_basis_is_solved_directly(monkeypa
     dets = np.linspace(-4.5, 3.5, 9)
     for p, d, spoilt in ((EP, drive(), [3]), (EP.replace(gamma=0.0), drive(amplitude=0.0),
                                               list(range(9)))):
-        formed = [0]   # vectors are formed a block of columns at a time, in grid order
+        formed = [0]   # vectors are formed one at a time, in the order they are asked for
 
-        def spoil(name, vectors, formed=formed, spoilt=spoilt):
-            cols = formed[0] + np.arange(vectors.shape[1])
-            formed[0] += vectors.shape[1]
-            vectors[:, np.isin(cols, spoilt)] += 1e-6
-            return vectors
+        def spoil(name, vector, formed=formed, spoilt=spoilt):
+            if formed[0] in spoilt:
+                vector += 1e-6
+            formed[0] += 1
+            return vector
         with monkeypatch.context() as patch:
-            calls = _count_calls(patch, lapack, ["zgbtrf", "zgbsv"])
+            calls = _count_calls(patch, lapack, ["zgbtrf"])
             _count_calls(patch, blas, ["zgemm"], spoil)
             sweep = g2_sweep(p, d, dets, LAYOUT)
-        assert calls == {"zgbtrf": 1, "zgbsv": len(spoilt)}
+        assert calls == {"zgbtrf": 1 + len(spoilt)} and formed == [len(dets)]
         outcomes = _outcomes(sweep)
         for i in spoilt:
             assert outcomes[i] == _g2_zero_outcome(p, d, LAYOUT, dets[i])
 
 
-def test_shared_vectors_are_formed_in_call_order_blocks_no_wider_than_the_basis(monkeypatch):
-    # a sweep holds one block of at most krylov_dim vectors at a time, not one vector
-    # per point, and a grid walked in any order forms each block once
+def test_each_shared_vector_is_formed_once_by_one_single_column_product(monkeypatch):
+    # a sweep holds one vector at a time, not one per point: a grid walked in any order
+    # forms each kept shift's vector when it is asked for, from at most krylov_dim
+    # basis vectors, and no point falls back to its own LU
     import scipy.linalg.blas as blas
-    widths = []
+    import scipy.linalg.lapack as lapack
+    shapes = []
 
-    def record(name, vectors):
-        widths.append(vectors.shape[1])
-        return vectors
+    def record(name, vector):
+        shapes.append(vector.shape)
+        return vector
     dets = np.random.default_rng(7).permutation(np.linspace(-12.0, 12.0, 97))
-    _count_calls(monkeypatch, blas, ["zgemm"], record)
+    calls = _count_calls(monkeypatch, lapack, ["zgbtrf"])
+    products = _count_calls(monkeypatch, blas, ["zgemm"], record)
     sweep = g2_sweep(EP, drive(), dets, LAYOUT)
-    assert not sweep.errors and sum(widths) == len(dets)
-    assert max(widths) == sweep.krylov_dim < len(dets)
+    assert not sweep.errors and calls == {"zgbtrf": 1} and products == {"zgemm": len(dets)}
+    assert shapes == [(solve_layout(LAYOUT).dim ** 2, 1)] * len(dets)
+    assert 0 < sweep.krylov_dim < len(dets)
     assert [r.detuning for r in sweep.results] == list(dets)
 
 
 def test_singular_base_factor_solves_every_point_directly(monkeypatch):
-    # a factor zgbtrf reports singular, and one that is: g = gamma = 0 leaves the
+    # a base factor zgbtrf reports singular, and one that is: g = gamma = 0 leaves the
     # emitter's levels conserved, so every point's kernel is degenerate
     import scipy.linalg.lapack as lapack
     dets = np.linspace(-3.5, 3.5, 8)
-    for p, d, singular in ((EP, drive(), lambda name, r: (*r[:2], 1) if name == "zgbtrf" else r),
+    for p, d, singular in ((EP, drive(), lambda name, r: (*r[:2], 1) if calls[name] == 1 else r),
                            (EP.replace(g=0.0, gamma=0.0), drive(amplitude=0.0), None)):
         with monkeypatch.context() as patch:
-            calls = _count_calls(patch, lapack, ["zgbtrf", "zgbsv"], singular)
+            calls = _count_calls(patch, lapack, ["zgbtrf"], singular)
             sweep = g2_sweep(p, d, dets, LAYOUT)
-        assert calls == {"zgbtrf": 1, "zgbsv": len(dets)}
+        assert calls == {"zgbtrf": 1 + len(dets)}
         assert sweep.krylov_dim == 0 and np.isnan(sweep.base_detuning)
         assert _outcomes(sweep) == [_g2_zero_outcome(p, d, LAYOUT, det) for det in dets]
     assert all(e[1].startswith("DegenerateSteadyStateError: ") for e in sweep.errors)
@@ -384,7 +388,22 @@ def test_short_sweep_is_solved_point_by_point(monkeypatch):
     import scipy.linalg.lapack as lapack
     for dets in ([-3.0, 2.0], [-12.0, 0.0, 12.0]):
         with monkeypatch.context() as patch:
-            calls = _count_calls(patch, lapack, ["zgbtrf", "zgbsv"])
+            calls = _count_calls(patch, lapack, ["zgbtrf"])
             sweep = g2_sweep(EP, drive(), np.array(dets), LAYOUT)
-        assert calls == {"zgbtrf": 0, "zgbsv": len(dets)} and sweep.krylov_dim == 0
+        assert calls == {"zgbtrf": len(dets)} and sweep.krylov_dim == 0
         assert sweep.results == [g2_zero(EP, drive(detuning=det), LAYOUT) for det in dets]
+
+
+def test_non_finite_detuning_fails_as_g2_zero_does_without_a_solve(monkeypatch):
+    # g2_zero cannot be given such a point: its DriveSpec rejects the drive frequency
+    import scipy.linalg.lapack as lapack
+    dets = [np.nan, 0.0, np.inf, -np.inf]
+    calls = _count_calls(monkeypatch, lapack, ["zgbtrf"])
+    sweep = g2_sweep(EP, drive(), np.array(dets), LAYOUT)
+    assert calls == {"zgbtrf": 1}
+    assert sweep.results[1] == g2_zero(EP, drive(), LAYOUT)
+    failed = [det for det in dets if not np.isfinite(det)]
+    assert [e[1] for e in sweep.errors] == [_g2_zero_outcome(EP, drive(), LAYOUT, det)[1]
+                                            for det in failed]
+    assert np.array_equal([e[0] for e in sweep.errors], failed, equal_nan=True)
+    assert all(np.isnan(sweep.results[i].g2) for i in (0, 2, 3))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from epqed import dynamics, ldos, spectra
+from epqed import blockade, dynamics, ldos, spectra
 from epqed.cli import DEFAULTS, build_parser, main, params_from_config, parse_sweep
 from epqed.errors import ConfigError
 from epqed.ldos import lorentzian_model
@@ -286,6 +286,20 @@ def test_parse_sweep_validation():
         parse_sweep("nope=1:2:5")
     with pytest.raises(ConfigError):
         parse_sweep("g=1-2-5")
+
+
+def test_sweep_with_a_bound_that_is_not_finite_exits_2_before_solving(tmp_path, capsys,
+                                                                      monkeypatch):
+    # a NaN or infinite bound makes NaN or infinite grid points, which reach no solver
+    def never(*args, **kwargs):
+        raise AssertionError("a point of a rejected grid was solved")
+    monkeypatch.setattr(blockade, "g2_sweep", never)
+    for bounds in ("nan:1", "0:inf", "-inf:0"):
+        out = tmp_path / bounds.replace(":", "_")
+        assert main(["blockade", "--sweep", f"detuning={bounds}:5", "--out", str(out)]) == 2
+        assert f"config error: sweep bounds must be finite, got 'detuning={bounds}:5'" \
+            in capsys.readouterr().err
+        assert not (out / "blockade.csv").exists()
 
 
 def test_workers_parallel_sweep_deterministic(tmp_path):

@@ -630,7 +630,7 @@ def test_band_storage_is_guarded_before_allocation(monkeypatch):
     n2 = lv.generator.shape[0]
     need = 16 * n2 * (2 * solve.kl + solve.ku + 1)
     monkeypatch.setattr(os, "sysconf", lambda name: need if name == "SC_PHYS_PAGES" else 1)
-    assert SteadyStateSolver(lv)().entries.shape == (lv.layout.dim,) * 2
+    assert SteadyStateSolver(lv)()[0].entries.shape == (lv.layout.dim,) * 2
     monkeypatch.setattr(os, "sysconf", lambda name: need - 1 if name == "SC_PHYS_PAGES" else 1)
     with pytest.raises(MemoryLimitError, match="steady-state band"):
         SteadyStateSolver(lv)
@@ -690,9 +690,28 @@ def test_banded_solver_matches_sparse_direct_solve(model, shift):
     b = np.zeros(lay.dim**2, dtype=complex)
     b[0] = 1.0
     ref = unvectorize(scipy.sparse.linalg.spsolve(a.tocsc(), b), lay.dim)
-    solve = SteadyStateSolver(lv)
-    assert_allclose(solve(shift).entries, ref, rtol=0, atol=1e-12)
-    assert solve.residual <= 1e-10
+    rho, residual = SteadyStateSolver(lv)(shift)
+    assert_allclose(rho.entries, ref, rtol=0, atol=1e-12)
+    assert residual <= 1e-10
+
+
+@given(model=capped_models, shift=st.floats(-10.0, 10.0))
+@settings(max_examples=20, deadline=None)
+def test_banded_solve_equals_zgbsv_bit_for_bit(model, shift):
+    # a factor (zgbtrf) and its back-substitution (zgbtrs) are what LAPACK's one-call
+    # banded driver zgbsv runs: the same state and residual, to the last bit
+    from scipy.linalg.lapack import zgbsv
+    lay, p, drive = model
+    solve = SteadyStateSolver(build_liouvillian(p, lay, drive=drive))
+    rhs = np.zeros((lay.dim**2, 1), dtype=complex)
+    rhs[solve.trace_row] = 1.0
+    _, _, x, info = zgbsv(solve.kl, solve.ku, solve._band(shift).T, rhs)
+    assert info == 0
+    v = np.empty_like(x[:, 0])
+    v[solve.perm] = x[:, 0]
+    rho, residual = solve(shift)
+    assert np.array_equal(rho.entries, master._clean(unvectorize(v, lay.dim)[None])[0])
+    assert residual == np.linalg.norm(solve.lmat @ v + shift * solve.diagonal * v)
 
 
 @given(model=random_models, shift=st.floats(-10.0, 10.0))
@@ -705,5 +724,5 @@ def test_shifted_solver_matches_steady_state_of_shifted_generator(model, shift):
     solver = SteadyStateSolver(lv)
     ref = steady_state(Liouvillian(generator=scipy.sparse.csr_matrix(lv.generator + shift * deriv),
                                    layout=lay))
-    assert_allclose(solver(shift).entries, ref.entries, rtol=0, atol=1e-12)
-    assert_allclose(solver(0.0).entries, steady_state(lv).entries, rtol=0, atol=1e-12)
+    assert_allclose(solver(shift)[0].entries, ref.entries, rtol=0, atol=1e-12)
+    assert_allclose(solver(0.0)[0].entries, steady_state(lv).entries, rtol=0, atol=1e-12)
